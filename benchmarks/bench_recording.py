@@ -1,9 +1,41 @@
-"""Keyed result-file recording shared by the benchmark modules."""
+"""Keyed result-file recording and timing shared by the benchmark modules."""
 
 from __future__ import annotations
 
 import json
+import os
+import time
 from pathlib import Path
+from typing import Any, Callable
+
+#: Environment switch for the timing records. Throughput figures change on
+#: every run, so rewriting the committed ``engine_throughput.{json,txt}``
+#: and ``service_load.txt`` is opt-in: a plain test run leaves the working
+#: tree clean. The regression gate reads ``--benchmark-json``, not these.
+RECORD_ENV = "E2C_BENCH_RECORD"
+
+
+def timing_records_enabled() -> bool:
+    """Whether ``E2C_BENCH_RECORD`` asks for the timing records (set, not 0)."""
+    return os.environ.get(RECORD_ENV, "0") not in ("", "0")
+
+
+def run_timed(
+    benchmark: Any, fn: Callable[[], Any], **pedantic: Any
+) -> tuple[Any, float]:
+    """Benchmark *fn*; return ``(result, mean wall seconds per call)``.
+
+    Keyword arguments go to ``benchmark.pedantic``; without them the
+    fixture calibrates its own rounds. Under ``--benchmark-disable`` the
+    fixture calls *fn* once and keeps no stats, so the mean falls back to
+    that one call's wall time and every throughput assertion still runs.
+    """
+    start = time.perf_counter()
+    result = benchmark.pedantic(fn, **pedantic) if pedantic else benchmark(fn)
+    elapsed = time.perf_counter() - start
+    if benchmark.stats is None:
+        return result, elapsed
+    return result, benchmark.stats["mean"]
 
 
 def record_result_line(path: Path, key: str, line: str) -> None:

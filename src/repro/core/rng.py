@@ -9,11 +9,19 @@ draw to one component never perturbs another.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn", "derive_seed"]
+__all__ = [
+    "make_rng",
+    "spawn",
+    "derive_seed",
+    "choice_index",
+    "weight_cdf",
+    "draw_from_cdf",
+]
 
 
 def make_rng(seed: int | None | np.random.Generator = None) -> np.random.Generator:
@@ -54,6 +62,33 @@ def _label_to_int(label: int | str) -> int:
     return acc
 
 
+def weight_cdf(weights: Sequence[float] | np.ndarray) -> list[float]:
+    """The CDF ``Generator.choice(n, p=w / w.sum())`` searches, as a list.
+
+    ``choice`` builds ``cdf = p.cumsum(); cdf /= cdf[-1]`` from the
+    normalised probabilities, draws one double with ``random()`` and
+    returns ``cdf.searchsorted(u, side="right")``. This performs the same
+    NumPy operations on the same values, so :func:`draw_from_cdf` over the
+    result draws the identical index stream — while a caller that keeps the
+    CDF pays for it once instead of per draw. *weights* must be finite,
+    non-negative and not sum to zero (callers validate; this does not).
+    """
+    w = np.asarray(weights, dtype=float)
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def draw_from_cdf(rng: np.random.Generator, cdf: Sequence[float]) -> int:
+    """Draw one index from a :func:`weight_cdf` CDF.
+
+    Consumes exactly one ``rng.random()`` double, and ``bisect_right`` on
+    the plain-float list is ``searchsorted(side="right")`` on the array, so
+    the result equals ``rng.choice(len(cdf), p=...)`` draw for draw.
+    """
+    return bisect_right(cdf, rng.random())
+
+
 def choice_index(
     rng: np.random.Generator, weights: Sequence[float]
 ) -> int:
@@ -63,7 +98,6 @@ def choice_index(
         raise ValueError("weights must be a non-empty 1-D sequence")
     if np.any(w < 0) or not np.isfinite(w).all():
         raise ValueError("weights must be finite and non-negative")
-    total = w.sum()
-    if total <= 0:
+    if w.sum() <= 0:
         raise ValueError("weights must not sum to zero")
-    return int(rng.choice(w.size, p=w / total))
+    return draw_from_cdf(rng, weight_cdf(w))

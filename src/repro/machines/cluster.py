@@ -39,6 +39,7 @@ class ClusterState:
         "finish_list",
         "queued_list",
         "slots",
+        "slots_list",
         "up",
         "idle",
         "n_idle",
@@ -55,8 +56,10 @@ class ClusterState:
         self.queued_list = [0.0] * n
         # Free machine-queue slots (0.0 while down, inf when unbounded),
         # mirrored by the same syncs: the batch mapping loop snapshots this
-        # array instead of chasing queue attributes machine by machine.
+        # array instead of chasing queue attributes machine by machine; the
+        # one-task scalar pass masks by its plain-float twin.
         self.slots = np.full(n, np.inf)
+        self.slots_list = [float("inf")] * n
         self.up = np.ones(n, dtype=bool)
         self.idle = np.ones(n, dtype=bool)  # up and not running
         self.n_idle = n
@@ -244,33 +247,57 @@ class Cluster:
     #: loop (its ~6 ufunc dispatches cost about as much as ~64 loop bodies).
     _SCALAR_ARGMIN_LIMIT = 64
 
+    def _scalar_mct(
+        self, task: Task, now: float, free: Sequence[float] | None = None
+    ) -> tuple[int, float] | None:
+        """First argmin and minimum of ``ready_time + EET`` by a scalar loop.
+
+        Loops over the incrementally-maintained plain-float mirrors, which
+        for up to ``_SCALAR_ARGMIN_LIMIT`` machines beats the fixed overhead
+        of the ~6 NumPy ufunc dispatches the vectorised path costs. Each
+        cell is ``now + max(0, finish_at - now) + queued_work + eet`` — the
+        identical IEEE operations of ``ready_times(now) + eet_vector`` — and
+        the strict ``<`` keeps the first minimum, as ``argmin`` does.
+        Machines with ``free[j] <= 0`` are skipped (the batch loop's
+        saturated/down mask); a minimum of +inf means none is eligible.
+        Down machines are *not* excluded without a mask, so unmasked callers
+        must check ``state.n_down`` first. Returns None when the loop does
+        not apply: more machines than the limit, or a task type without an
+        EET row (the vectorised path raises the proper error).
+        """
+        if len(self.machines) > self._SCALAR_ARGMIN_LIMIT:
+            return None
+        row = self._row_of.get(task.task_type.name)
+        if row is None:
+            return None
+        state = self._state
+        eet_row = self._eet_lists[row]
+        queued = state.queued_list
+        best = float("inf")
+        best_j = 0
+        for j, f in enumerate(state.finish_list):
+            if free is not None and free[j] <= 0.0:
+                continue
+            remaining = f - now
+            if remaining < 0.0:
+                remaining = 0.0
+            v = now + remaining + queued[j] + eet_row[j]
+            if v < best:
+                best = v
+                best_j = j
+        return best_j, best
+
     def argmin_completion(self, task: Task, now: float) -> int:
         """Index of the machine minimising completion time (MCT argmin).
 
-        For fully-up clusters up to ``_SCALAR_ARGMIN_LIMIT`` machines a
-        scalar Python loop over the incrementally-maintained plain-float
-        mirrors beats the fixed overhead of the ~6 NumPy ufunc dispatches
-        the vectorised path costs; both branches perform the identical IEEE
-        operations (and first-minimum tie-break), so the chosen index — and
-        therefore the simulation trajectory — is the same.
+        Fully-up clusters take the scalar loop of :meth:`_scalar_mct`;
+        both branches pick the same index, so the simulation trajectory is
+        the same either way.
         """
-        state = self._state
-        if not state.n_down and len(self.machines) <= self._SCALAR_ARGMIN_LIMIT:
-            row = self._row_of.get(task.task_type.name)
-            if row is not None:
-                eet_row = self._eet_lists[row]
-                queued = state.queued_list
-                best = float("inf")
-                best_j = 0
-                for j, f in enumerate(state.finish_list):
-                    remaining = f - now
-                    if remaining < 0.0:
-                        remaining = 0.0
-                    v = now + remaining + queued[j] + eet_row[j]
-                    if v < best:
-                        best = v
-                        best_j = j
-                return best_j
+        if not self._state.n_down:
+            hit = self._scalar_mct(task, now)
+            if hit is not None:
+                return hit[0]
         return int(self.completion_times(task, now).argmin())
 
     def min_completion_time(self, task: Task, now: float) -> float:
@@ -280,22 +307,23 @@ class Cluster:
         same IEEE operations in the same order, without materialising the
         vector (the gateway's EET-aware policy calls this per decision).
         """
-        state = self._state
-        if not state.n_down and len(self.machines) <= self._SCALAR_ARGMIN_LIMIT:
-            row = self._row_of.get(task.task_type.name)
-            if row is not None:
-                eet_row = self._eet_lists[row]
-                queued = state.queued_list
-                best = float("inf")
-                for j, f in enumerate(state.finish_list):
-                    remaining = f - now
-                    if remaining < 0.0:
-                        remaining = 0.0
-                    v = now + remaining + queued[j] + eet_row[j]
-                    if v < best:
-                        best = v
-                return best
+        if not self._state.n_down:
+            hit = self._scalar_mct(task, now)
+            if hit is not None:
+                return hit[1]
         return float(self.completion_times(task, now).min())
+
+    def free_argmin_completion(
+        self, task: Task, now: float
+    ) -> tuple[int, float] | None:
+        """MCT argmin over machines with a free queue slot, by the scalar loop.
+
+        ``(j, completion)`` with ``completion`` +inf when every machine is
+        saturated or down — the one-task answer of the batch planning
+        matrix ``ready + eet`` masked by ``free_slots() <= 0``. None when
+        the scalar loop does not apply (see :meth:`_scalar_mct`).
+        """
+        return self._scalar_mct(task, now, self._state.slots_list)
 
     def acceptance_mask(self) -> np.ndarray:
         """Boolean mask of machines whose queues can take one more task."""

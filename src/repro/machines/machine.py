@@ -109,7 +109,9 @@ class Machine:
         state.finish_list[i] = finishes
         state.queued_work[i] = self._queued_work
         state.queued_list[i] = self._queued_work
-        state.slots[i] = self.queue.free_slots if self.up else 0.0
+        free = self.queue.free_slots if self.up else 0.0
+        state.slots[i] = free
+        state.slots_list[i] = free
         if bool(state.up[i]) != self.up:
             state.up[i] = self.up
             state.n_down += -1 if self.up else 1
@@ -125,7 +127,9 @@ class Machine:
             i = self._shared_idx
             state.queued_work[i] = self._queued_work
             state.queued_list[i] = self._queued_work
-            state.slots[i] = self.queue.free_slots if self.up else 0.0
+            free = self.queue.free_slots if self.up else 0.0
+            state.slots[i] = free
+            state.slots_list[i] = free
 
     def _sync_run(self) -> None:
         """Cheap sync for start/finish transitions (finish_at + idleness)."""
@@ -140,7 +144,9 @@ class Machine:
         state.finish_list[i] = finishes
         state.queued_work[i] = self._queued_work
         state.queued_list[i] = self._queued_work
-        state.slots[i] = self.queue.free_slots if self.up else 0.0
+        free = self.queue.free_slots if self.up else 0.0
+        state.slots[i] = free
+        state.slots_list[i] = free
         idle_now = self.running is None and self.up
         if bool(state.idle[i]) != idle_now:
             state.idle[i] = idle_now

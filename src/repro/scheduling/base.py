@@ -114,11 +114,31 @@ class BatchScheduler(Scheduler):
     """
 
     mode = SchedulingMode.BATCH
+    #: Whether :meth:`select_pair` on a one-task snapshot always returns
+    #: ``(0, first argmin of the row)``, or None when every cell is +inf.
+    #: Policies that declare it let :meth:`schedule` answer one-task passes
+    #: with the cluster's scalar MCT loop instead of building the 1×M
+    #: planning matrix — the same pick, since the loop performs the
+    #: matrix's IEEE operations. A subclass that overrides ``select_pair``
+    #: without re-declaring the flag is switched back to the matrix path.
+    one_task_is_mct: ClassVar[bool] = False
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        if "select_pair" in vars(cls) and "one_task_is_mct" not in vars(cls):
+            cls.one_task_is_mct = False
 
     def schedule(self, ctx: SchedulingContext) -> list[Assignment]:
         tasks = list(ctx.pending)
         if not tasks:
             return []
+        if len(tasks) == 1 and self.one_task_is_mct:
+            hit = ctx.cluster.free_argmin_completion(tasks[0], ctx.now)
+            if hit is not None:
+                j, completion = hit
+                if completion == np.inf:  # every machine saturated or down
+                    return []
+                return [Assignment(tasks[0], ctx.cluster.machines[j])]
         slots = ctx.free_slots()
         if not (slots > 0).any():
             # Every machine queue is saturated (or down): no pick is legal,

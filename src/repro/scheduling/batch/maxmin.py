@@ -29,6 +29,7 @@ class MaxMinScheduler(BatchScheduler):
         "Max-Min: map the task whose best completion time is worst, so long "
         "tasks are placed before short ones."
     )
+    one_task_is_mct = True
 
     def select_pair(
         self,

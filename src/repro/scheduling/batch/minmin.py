@@ -30,6 +30,7 @@ class MinMinScheduler(BatchScheduler):
         "MinCompletion-MinCompletion (Min-Min): repeatedly map the task with "
         "the globally smallest achievable completion time."
     )
+    one_task_is_mct = True
 
     def select_pair(
         self,

@@ -37,6 +37,7 @@ class MMUScheduler(BatchScheduler):
         "MinCompletion-MaxUrgency: map first the task with the least slack "
         "between its best completion time and its deadline."
     )
+    one_task_is_mct = True
 
     def select_pair(
         self,

@@ -28,6 +28,7 @@ class MSDScheduler(BatchScheduler):
         "MinCompletion-SoonestDeadline: EDF task order, each task mapped to "
         "its minimum-completion-time machine."
     )
+    one_task_is_mct = True
 
     def select_pair(
         self,

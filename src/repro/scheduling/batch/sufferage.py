@@ -29,6 +29,7 @@ class SufferageScheduler(BatchScheduler):
         "Sufferage: map first the task that loses the most if denied its "
         "best machine."
     )
+    one_task_is_mct = True
 
     def select_pair(
         self,

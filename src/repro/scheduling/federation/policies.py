@@ -18,9 +18,12 @@ the federation's seeded generator), so federated runs replay bit-identically.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ...core.errors import ConfigurationError, SchedulingError
+from ...core.rng import draw_from_cdf, weight_cdf
 from .base import GatewayContext, GatewayPolicy, ShardView, shard_pressure
 from .registry import register_gateway
 
@@ -189,18 +192,38 @@ class RandomSplitGateway(GatewayPolicy):
             if sum(weights) <= 0:
                 raise ConfigurationError("weights must not sum to zero")
         self.weights = weights
+        self._cdf: list[float] = []
+        self._cdf_shards: Sequence[ShardView] | None = None
 
     def choose_cluster(self, ctx: GatewayContext) -> int:
-        n = len(ctx.shards)
+        shards = ctx.shards
+        cdf = self._cdf
+        if shards is not self._cdf_shards or len(shards) != len(cdf):
+            cdf = self._build_cdf(shards)
+        return draw_from_cdf(ctx.rng, cdf)
+
+    def _build_cdf(self, shards: Sequence[ShardView]) -> list[float]:
+        """Validate the weights against *shards* and cache their CDF.
+
+        The weights are static for a federation, so the CDF is built once
+        and reused for every decision — rebuilt only when the gateway is
+        handed a different shard list, and dropped by :meth:`reset`.
+        """
+        n = len(shards)
         weights = self.weights
         if weights is None:
-            weights = [shard.weight for shard in ctx.shards]
+            weights = [shard.weight for shard in shards]
         if len(weights) != n:
             raise SchedulingError(
                 f"{self.name}: {len(weights)} weights for {n} clusters"
             )
         probs = np.asarray(weights, dtype=float)
-        total = probs.sum()
-        if total <= 0:
+        if probs.sum() <= 0:
             raise SchedulingError(f"{self.name}: weights sum to zero")
-        return int(ctx.rng.choice(n, p=probs / total))
+        self._cdf = weight_cdf(probs)
+        self._cdf_shards = shards
+        return self._cdf
+
+    def reset(self) -> None:
+        self._cdf = []
+        self._cdf_shards = None

@@ -165,6 +165,54 @@ class TestRandomSplit:
         with pytest.raises(SchedulingError):
             gateway.choose_cluster(make_ctx(shards))
 
+    def test_reused_instance_revalidates_each_shard_list(self):
+        # The CDF is cached per shard list: a different list (of another
+        # length) must be re-validated, raising the same errors as a fresh
+        # gateway, and a failed build must not poison the cached one.
+        two = [
+            StubShard(0, "a", counts={"SLOW": 1}),
+            StubShard(1, "b", counts={"FAST": 1}),
+        ]
+        one = [StubShard(0, "a", counts={"SLOW": 1})]
+        three = two + [StubShard(2, "c", counts={"FAST": 1})]
+        gateway = create_gateway("RANDOM_SPLIT", weights=[0.0, 1.0])
+        assert gateway.choose_cluster(make_ctx(two)) == 1
+        with pytest.raises(SchedulingError, match="2 weights for 1 clusters"):
+            gateway.choose_cluster(make_ctx(one))
+        with pytest.raises(SchedulingError, match="2 weights for 3 clusters"):
+            gateway.choose_cluster(make_ctx(three))
+        assert gateway.choose_cluster(make_ctx(two)) == 1
+
+        dark = [StubShard(0, "z", counts={"SLOW": 1}, weight=0.0)]
+        gateway = create_gateway("RANDOM_SPLIT")
+        assert gateway.choose_cluster(make_ctx(one)) == 0
+        with pytest.raises(SchedulingError, match="weights sum to zero"):
+            gateway.choose_cluster(make_ctx(dark))
+        with pytest.raises(SchedulingError, match="weights sum to zero"):
+            gateway.choose_cluster(make_ctx([]))
+        assert gateway.choose_cluster(make_ctx(two)) in (0, 1)
+
+    def test_cached_draws_follow_generator_choice(self):
+        shards = [
+            StubShard(i, f"s{i}", counts={"SLOW": 1}, weight=w)
+            for i, w in enumerate([3.0, 0.0, 1.0, 0.5])
+        ]
+        fewer = shards[:2] + [StubShard(2, "s2", counts={"SLOW": 1}, weight=2.0)]
+        gateway = create_gateway("RANDOM_SPLIT")
+        ctx = make_ctx(shards, seed=11)
+        reference = np.random.default_rng(11)
+        for shard_list in (shards, fewer, shards):
+            ctx.shards = shard_list
+            w = np.array([s.weight for s in shard_list])
+            for _ in range(300):
+                expected = int(reference.choice(len(w), p=w / w.sum()))
+                assert gateway.choose_cluster(ctx) == expected
+        gateway.reset()
+        w = np.array([s.weight for s in shards])
+        assert gateway.choose_cluster(ctx) == int(
+            reference.choice(len(w), p=w / w.sum())
+        )
+
     def test_rejects_bad_weights(self):
         with pytest.raises(ConfigurationError):
             create_gateway("RANDOM_SPLIT", weights=[])
