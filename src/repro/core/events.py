@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = ["EventType", "Event", "EVENT_PRIORITY"]
 
@@ -65,7 +65,7 @@ EVENT_PRIORITY: dict[EventType, int] = {
     EventType.CONTROL: 9,
 }
 
-# Mirror the priority table onto the members: Event.__init__ runs for every
+# Mirror the priority table onto the members: Event.__new__ runs for every
 # scheduled event, and the plain attribute read beats the enum-keyed dict
 # lookup (enum hashing goes through the member name).
 for _event_type, _rank in EVENT_PRIORITY.items():
@@ -73,33 +73,48 @@ for _event_type, _rank in EVENT_PRIORITY.items():
 
 _seq_counter = itertools.count()
 
-_set = object.__setattr__  # bypasses the frozen __setattr__ during __init__
+
+class _EventFields(NamedTuple):
+    # Event's fields. typing.NamedTuple forbids __new__ in its own body, so
+    # Event subclasses this. Field order is heap order: (time, priority, seq)
+    # is the ordering key, and seq is unique, so a comparison never reaches
+    # type or payload.
+    time: float
+    priority: int
+    seq: int
+    type: EventType
+    payload: Any
+    cluster: int | tuple[int, ...] | None
 
 
-class Event:
+class Event(_EventFields):
     """A single simulation event.
 
-    Hand-written immutable slots class (not a dataclass): the engine creates
-    two events per task up front plus one per execution, so construction and
-    comparison are hot. The ``(time, priority, seq)`` ordering key is
-    precomputed once here; the future-event list compares hundreds of
-    thousands of keys per run, and deriving the tuple per comparison
-    (attribute + enum-dict lookups) previously dominated the engine profile.
+    An immutable tuple laid out as ``(time, priority, seq, type, payload,
+    cluster)``. The tuple order *is* the future-event list's order, so the
+    queue stores events directly and ``heapq`` compares them in one flat C
+    tuple comparison; the unique ``seq`` guarantees that comparison never
+    reaches ``type`` or ``payload`` (payloads such as tasks are unorderable).
+    One allocation per event: construction, ordering key and heap entry are
+    the same object.
+
+    Being a tuple, events compare and hash by value. Nothing in the engines
+    compares or hashes events by value: the queue cancels by ``seq``.
 
     Attributes
     ----------
     time:
         Simulation timestamp at which the event fires.
+    priority:
+        Rank of ``type`` in :data:`EVENT_PRIORITY` (lower fires first).
+    seq:
+        Monotonic tie-break counter; guarantees FIFO stability among events
+        with identical ``(time, priority)``.
     type:
         The :class:`EventType` of this event.
     payload:
         Event-specific data (a task, a machine, ...). Never inspected by the
         queue itself.
-    seq:
-        Monotonic tie-break counter; guarantees FIFO stability among events
-        with identical ``(time, priority)``.
-    key:
-        The precomputed ``(time, priority, seq)`` ordering key.
     cluster:
         Routing address in a federated simulation (see
         :mod:`repro.federation`). A plain ``int`` is the owning cluster
@@ -115,60 +130,35 @@ class Event:
         ordering key.
     """
 
-    __slots__ = ("time", "type", "payload", "seq", "key", "cluster")
+    __slots__ = ()  # no per-instance __dict__: events stay immutable
 
-    time: float
-    type: EventType
-    payload: Any
-    seq: int
-    key: tuple[float, int, int]
-    cluster: int | tuple[int, ...] | None
-
-    def __init__(
-        self,
+    def __new__(
+        cls,
         time: float,
         type: EventType,
         payload: Any = None,
         seq: int | None = None,
         cluster: int | tuple[int, ...] | None = None,
-    ) -> None:
+    ) -> "Event":
         if seq is None:
             seq = next(_seq_counter)
-        _set(self, "time", time)
-        _set(self, "type", type)
-        _set(self, "payload", payload)
-        _set(self, "seq", seq)
-        _set(self, "key", (time, type._priority, seq))
-        _set(self, "cluster", cluster)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"Event is immutable; cannot set {name!r}")
+        return tuple.__new__(
+            cls, (time, type._priority, seq, type, payload, cluster)
+        )
 
     def __reduce__(self):
-        # The frozen __setattr__ breaks default pickling/deepcopying;
-        # reconstruct through __init__ with the original seq instead.
+        # The NamedTuple default would pass all six fields to __new__;
+        # reconstruct through the public signature with the original seq.
         return (
             Event,
             (self.time, self.type, self.payload, self.seq, self.cluster),
         )
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Event is immutable; cannot delete {name!r}")
-
     @property
-    def priority(self) -> int:
-        """Priority rank of this event's type (lower fires first)."""
-        return self.key[1]
+    def key(self) -> tuple[float, int, int]:
+        """The ``(time, priority, seq)`` ordering key."""
+        return self[:3]
 
     def sort_key(self) -> tuple[float, int, int]:
         """Key under which the future-event list orders this event."""
-        return self.key
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.key < other.key
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Event(time={self.time!r}, type={self.type!r}, "
-            f"payload={self.payload!r}, seq={self.seq!r})"
-        )
+        return self[:3]

@@ -24,7 +24,6 @@ including starting idle machines and scheduling their completion events.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -260,27 +259,11 @@ class Simulator:
                 while not self._finished:
                     self.step()
             else:
-                # Hot path: the step() body inlined with the event-queue pop
-                # unrolled — direct heap access saves a call layer per event,
-                # and the heap's ordering guarantee stands in for the clock's
-                # monotonicity check. Semantics identical to step().
-                events = self.events
-                heap = events._heap
-                cancelled = events._cancelled
-                clock = self.clock
-                dispatch = self._dispatch
-                heappop = heapq.heappop
-                processed = 0
-                while heap:
-                    event = heappop(heap)[1]
-                    if cancelled and event.seq in cancelled:
-                        cancelled.discard(event.seq)
-                        continue
-                    events._live -= 1
-                    clock._now = event.time
-                    dispatch(event)
-                    processed += 1
-                self._events_processed += processed
+                # Hot path: step() without the per-event call layer and
+                # observer check. Semantics identical to step().
+                self._events_processed += self.events.dispatch_all(
+                    self.clock, self._dispatch
+                )
                 if not self._finished:
                     self._finish()
             assert self._result is not None

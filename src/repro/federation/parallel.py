@@ -157,9 +157,9 @@ class ParallelFederatedSimulator:
         # exact in-flight cancellation); once the task reaches a shard, the
         # deadline moves with it and this copy is cancelled.
         deadline_events: dict[int, Event] = {
-            entry[1].payload.id: entry[1]
-            for entry in fed.events._heap
-            if entry[1].type is _DEADLINE
+            event.payload.id: event
+            for event in fed.events._heap
+            if event.type is _DEADLINE
         }
 
         ctx = multiprocessing.get_context("fork")
@@ -214,8 +214,8 @@ class ParallelFederatedSimulator:
         next_time = events.next_time()
         while next_time is not None:
             w_end = next_time + lookahead
-            while heap and heap[0][0][0] < w_end:
-                event = heapq.heappop(heap)[1]
+            while heap and heap[0][0] < w_end:
+                event = heapq.heappop(heap)
                 if cancelled and event.seq in cancelled:
                     cancelled.discard(event.seq)
                     continue
@@ -440,8 +440,8 @@ def _worker_main(conn: Any, fed: FederatedSimulator, shard_ids: list[int]) -> No
                 w_end = float("inf")
             else:  # pragma: no cover - defensive
                 raise SimulationStateError(f"unknown worker message {tag!r}")
-        while heap and heap[0][0][0] < w_end:
-            event = heapq.heappop(heap)[1]
+        while heap and heap[0][0] < w_end:
+            event = heapq.heappop(heap)
             if cancelled and event.seq in cancelled:
                 cancelled.discard(event.seq)
                 continue

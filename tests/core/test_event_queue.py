@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.core.clock import SimulationClock
 from repro.core.errors import SimulationStateError
 from repro.core.event_queue import EventQueue
 from repro.core.events import Event, EventType
+from repro.tasks.task import Task
+from repro.tasks.task_type import TaskType
 
 
 def ev(time: float, kind: EventType = EventType.TASK_ARRIVAL) -> Event:
@@ -155,3 +158,53 @@ class TestPushMany:
         queue = EventQueue()
         queue.push_many([])
         assert not queue
+
+
+class TestUnorderablePayloads:
+    """Ties at equal (time, type) are broken by seq, never by payload."""
+
+    @staticmethod
+    def _tasks(n: int) -> list[Task]:
+        task_type = TaskType("T", 0)
+        return [
+            Task(id=i, task_type=task_type, arrival_time=1.0, deadline=5.0)
+            for i in range(n)
+        ]
+
+    def test_tasks_are_unorderable(self):
+        first, second = self._tasks(2)
+        with pytest.raises(TypeError):
+            _ = first < second
+
+    def test_push_and_pop_equal_time_and_type(self):
+        tasks = self._tasks(4)
+        queue = EventQueue()
+        for task in tasks:
+            queue.push(Event(3.0, EventType.TASK_DEADLINE, task))
+        assert [e.payload for e in queue.drain()] == tasks
+
+    def test_push_many_equal_time_and_type(self):
+        tasks = self._tasks(6)
+        queue = EventQueue()
+        queue.push_many(Event(3.0, EventType.TASK_ARRIVAL, t) for t in tasks)
+        queue.push(Event(3.0, EventType.TASK_ARRIVAL, tasks[0]))
+        assert [e.payload for e in queue.drain()] == tasks + tasks[:1]
+
+
+class TestDispatchAll:
+    def test_dispatches_live_events_in_order_and_counts_them(self):
+        queue = EventQueue()
+        clock = SimulationClock()
+        handles = [queue.push(ev(t)) for t in (3.0, 1.0, 2.0, 4.0)]
+        queue.cancel(handles[2])
+        seen: list[tuple[float, float]] = []
+
+        def dispatch(event: Event) -> None:
+            seen.append((event.time, clock.now))
+            if event.time == 1.0:  # events pushed mid-run are dispatched too
+                queue.push(ev(1.5))
+
+        assert queue.dispatch_all(clock, dispatch) == 4
+        assert seen == [(1.0, 1.0), (1.5, 1.5), (3.0, 3.0), (4.0, 4.0)]
+        assert not queue
+        assert len(queue) == 0

@@ -1,5 +1,8 @@
 """Event taxonomy: ordering, priorities, tie-breaks."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.events import EVENT_PRIORITY, Event, EventType
@@ -71,14 +74,38 @@ class TestEventStructure:
         with pytest.raises(AttributeError):
             event.time = 1.0  # type: ignore[misc]
 
+    @pytest.mark.parametrize("name", ["time", "type", "payload", "seq", "cluster"])
+    def test_no_field_can_be_set_or_deleted(self, name):
+        event = Event(0.0, EventType.CONTROL)
+        with pytest.raises(AttributeError):
+            setattr(event, name, None)
+        with pytest.raises(AttributeError):
+            delattr(event, name)
+        with pytest.raises(AttributeError):
+            event.extra = 1  # type: ignore[attr-defined]
+
+    def test_event_is_its_own_ordered_tuple(self):
+        """The tuple layout is the heap order: (time, priority, seq) first."""
+        payload = object()
+        event = Event(2.5, EventType.TASK_DEADLINE, payload, cluster=3)
+        assert isinstance(event, tuple)
+        assert tuple(event) == (
+            2.5,
+            EVENT_PRIORITY[EventType.TASK_DEADLINE],
+            event.seq,
+            EventType.TASK_DEADLINE,
+            payload,
+            3,
+        )
+        assert event.key == event.sort_key() == event[:3]
+        assert event.key == (event.time, event.priority, event.seq)
+
     def test_every_event_type_has_priority(self):
         assert set(EVENT_PRIORITY) == set(EventType)
 
 
 class TestEventCopySemantics:
     def test_pickle_round_trip(self):
-        import pickle
-
         event = Event(2.5, EventType.TASK_DEADLINE, payload={"k": 1})
         clone = pickle.loads(pickle.dumps(event))
         assert clone.time == event.time
@@ -88,8 +115,35 @@ class TestEventCopySemantics:
         assert clone.sort_key() == event.sort_key()
 
     def test_deepcopy(self):
-        import copy
-
         event = Event(1.0, EventType.TASK_ARRIVAL)
         clone = copy.deepcopy(event)
         assert clone.sort_key() == event.sort_key()
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda e: pickle.loads(pickle.dumps(e)),
+            copy.deepcopy,
+            copy.copy,
+        ],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_copies_keep_every_field(self, clone):
+        event = Event(
+            4.0, EventType.NETWORK_DELIVERY, payload=("m", 7), cluster=(0, 2, 5)
+        )
+        twin = clone(event)
+        assert type(twin) is Event
+        assert twin.seq == event.seq
+        assert twin.priority == event.priority
+        assert twin.type is EventType.NETWORK_DELIVERY
+        assert twin.payload == ("m", 7)
+        assert twin.cluster == (0, 2, 5)
+        assert type(twin.cluster) is tuple
+        assert tuple(twin) == tuple(event)
+
+    def test_cluster_path_survives_unchanged(self):
+        path = (1, 4, 9)
+        event = Event(0.0, EventType.TASK_ARRIVAL, cluster=path)
+        assert event.cluster is path
+        assert event.key == event[:3]

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.event_queue import EventQueue
-from repro.core.events import Event, EventType
+from repro.core.events import EVENT_PRIORITY, Event, EventType
 
 event_types = st.sampled_from(list(EventType))
 times = st.floats(
@@ -74,3 +74,44 @@ def test_peek_always_matches_next_pop(items):
     while queue:
         head = queue.peek()
         assert queue.pop() is head
+
+
+# Few distinct times, so equal-time ties across every event type are common.
+tied_times = st.sampled_from([0.0, 1.0, 1.0 + 2**-40, 2.5, 1e6])
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), tied_times, event_types),
+        st.tuples(st.just("cancel"), st.integers(min_value=0)),
+        st.tuples(st.just("pop")),
+    ),
+    max_size=200,
+)
+
+
+def reference_key(event):
+    """The ordering the queue must honour, computed from the public fields
+    only: (time, EVENT_PRIORITY[type], seq)."""
+    return (event.time, EVENT_PRIORITY[event.type], event.seq)
+
+
+@given(operations)
+def test_random_push_cancel_pop_follows_reference_order(ops):
+    queue = EventQueue()
+    live = []
+    for op in ops:
+        if op[0] == "push":
+            live.append(queue.push(Event(op[1], op[2], payload=object())))
+        elif op[0] == "cancel":
+            if live:
+                victim = live.pop(op[1] % len(live))
+                assert queue.cancel(victim)
+                assert not queue.cancel(victim)
+        elif live:
+            expected = min(live, key=reference_key)
+            live.remove(expected)
+            assert queue.pop() is expected
+        assert len(queue) == len(live)
+    popped = list(queue.drain())
+    expected = sorted(live, key=reference_key)
+    assert len(popped) == len(expected)
+    assert all(a is b for a, b in zip(popped, expected))
