@@ -13,7 +13,8 @@ uplink back-pressures every site beneath it. This module is that tree:
   :class:`~repro.net.topology.InterClusterTopology`, and cached
   lowest-common-ancestor routes.
 * :class:`HierarchyView` — what a tree-capable gateway policy sees: the
-  tree plus live per-leaf in-flight WAN megabytes.
+  tree, live per-node task and live-machine counters, and per-leaf
+  in-flight WAN megabytes.
 * :class:`HierarchicalFederatedSimulator` — the engine. Offloads hop the
   tree store-and-forward: each hop is one :class:`~repro.net.wan.WanTransfer`
   on the child↔parent uplink channel, relay deliveries carry the remaining
@@ -39,7 +40,7 @@ effects).
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..core.errors import (
     ConfigurationError,
@@ -210,6 +211,11 @@ class FederationTree:
         collect(root)
         self.leaves_under: list[tuple[int, ...]] = leaves_under
         self._routes: dict[tuple[int, int], tuple[int, ...]] = {}
+        # Each leaf's ancestor-or-self chain, leaf first and root last: the
+        # nodes whose live counters move when a task enters or leaves it.
+        self.leaf_ancestors: list[tuple[int, ...]] = [
+            self.route(leaf, root) for leaf in range(n_leaves)
+        ]
 
     @property
     def n_nodes(self) -> int:
@@ -277,12 +283,17 @@ class FederationTree:
 class HierarchyView:
     """Live tree state a tree-capable gateway policy may consult.
 
-    ``inflight_mb`` is the engine's per-leaf in-flight WAN payload
-    (megabytes routed toward that leaf and not yet delivered or
-    cancelled) — a live reference, updated as transfers start and end.
+    Every field is a live reference the engine updates in place.
+    ``in_system`` and ``alive`` are indexed by tree node: routed-but-not-
+    terminal tasks and live (not failed) machines under that node.
+    ``inflight_mb`` is indexed by leaf: WAN megabytes routed toward the leaf
+    and not yet delivered or cancelled (per leaf only, because a per-node
+    float total would round differently from a leaf-order sum).
     """
 
     tree: FederationTree
+    in_system: Sequence[int]
+    alive: Sequence[int]
     inflight_mb: Sequence[float]
 
 
@@ -318,11 +329,24 @@ class HierarchicalFederatedSimulator(FederatedSimulator):
         self._wan_attempted: list[int] = [0] * n
         self._wan_delivered: list[int] = [0] * n
         self._wan_cancelled: list[int] = [0] * n
-        self._hier_view = HierarchyView(
-            tree=self._tree, inflight_mb=self._inflight_mb
-        )
         super().__init__(spec, eet, workload, **kwargs)
-        self._ctx.hierarchy = self._hier_view
+        tree = self._tree
+        self._in_system: list[int] = [0] * tree.n_nodes
+        self._alive: list[int] = [
+            sum(len(self.shards[leaf].cluster.machines) for leaf in leaves)
+            for leaves in tree.leaves_under
+        ]
+        self._ctx.hierarchy = HierarchyView(
+            tree=tree,
+            in_system=self._in_system,
+            alive=self._alive,
+            inflight_mb=self._inflight_mb,
+        )
+        for shard in self.shards:
+            collector = shard.collector
+            collector.on_terminal = self._count_terminal(
+                tree.leaf_ancestors[shard.index], collector.on_terminal
+            )
 
     # -- construction hooks ---------------------------------------------------------
 
@@ -353,6 +377,27 @@ class HierarchicalFederatedSimulator(FederatedSimulator):
     def tree(self) -> FederationTree:
         """The compiled federation tree."""
         return self._tree
+
+    # -- live per-node counters -------------------------------------------------------
+
+    def _count_terminal(
+        self, chain: tuple[int, ...], then: Callable[["Task"], None] | None
+    ) -> Callable[["Task"], None]:
+        """A leaf collector's terminal hook: leave every ancestor, then
+        call the hook already installed there (the feedback gateway's)."""
+        in_system = self._in_system
+
+        def on_terminal(task: "Task") -> None:
+            for node in chain:
+                in_system[node] -= 1
+            if then is not None:
+                then(task)
+
+        return on_terminal
+
+    def _on_alive_change(self, shard: int, delta: int) -> None:
+        for node in self._tree.leaf_ancestors[shard]:
+            self._alive[node] += delta
 
     # -- event routing ----------------------------------------------------------------
 
@@ -440,6 +485,8 @@ class HierarchicalFederatedSimulator(FederatedSimulator):
         self._routing[origin][destination] += 1
         shard = self.shards[destination]
         shard.routed += 1
+        for node in self._tree.leaf_ancestors[destination]:
+            self._in_system[node] += 1
         if destination == origin:
             shard._on_arrival(task)
             return

@@ -30,6 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.clock import SimulationClock
     from ..core.event_queue import EventQueue
     from ..machines.failures import FailureModel
+    from ..machines.machine import Machine
     from .simulator import FederatedSimulator
 
 __all__ = ["ClusterShard"]
@@ -152,6 +153,20 @@ class ClusterShard(Simulator):
             machine.finalize_energy(now)
 
     # -- overridden Simulator hooks -----------------------------------------------
+
+    def _on_failure(self, machine: "Machine") -> None:
+        down = self.cluster._state.n_down
+        super()._on_failure(machine)
+        self._federation._on_alive_change(
+            self.index, down - self.cluster._state.n_down
+        )
+
+    def _on_repair(self, machine: "Machine") -> None:
+        down = self.cluster._state.n_down
+        super()._on_repair(machine)
+        self._federation._on_alive_change(
+            self.index, down - self.cluster._state.n_down
+        )
 
     def _all_tasks_terminal(self) -> bool:
         # Repairs keep the failure process alive only while the *federation*

@@ -281,6 +281,10 @@ class FederatedSimulator:
             self.topology, self.events, self.spec.names, seed=wan_seed
         )
 
+    def _on_alive_change(self, shard: int, delta: int) -> None:
+        """Shard ``shard`` gained ``delta`` live machines (hook; the flat
+        engine keeps no aggregate to update)."""
+
     # -- public control surface ----------------------------------------------------
 
     @property

@@ -11,14 +11,9 @@ policy is the only stock gateway with ``supports_hierarchy`` set.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from ...core.errors import ConfigurationError
 from .base import GatewayContext, GatewayPolicy, shard_pressure
 from .registry import register_gateway
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ...federation.hierarchy import HierarchyView
 
 __all__ = ["TreePressureGateway"]
 
@@ -30,9 +25,8 @@ class TreePressureGateway(GatewayPolicy):
     At each interior node, every child subtree is scored by its rolled-up
     pressure::
 
-        (Σ leaf in_system
-         + wan_mb_weight · Σ leaf in-flight WAN MB
-         + migration_weight · Σ leaf migrations-from) / Σ leaf live machines
+        (Σ leaf in_system + wan_mb_weight · Σ leaf in-flight WAN MB)
+        / Σ leaf live machines
 
     and the walk continues into the argmin child until it reaches a leaf.
     In-flight WAN payload counts *toward* a subtree's pressure, so traffic
@@ -40,6 +34,10 @@ class TreePressureGateway(GatewayPolicy):
     any of it lands in a queue — the rolled-up analogue of link backlog.
     Ties prefer the child subtree containing the task's origin (locality),
     then the earlier child, so a balanced tree degrades into keep-it-local.
+
+    The ``in_system`` and live-machine sums are per-node counters the
+    hierarchy engine keeps current (``HierarchyView``); only the WAN term
+    is summed over the child's leaves, in leaf order.
 
     On a *flat* federation (no hierarchy in the context) the policy is the
     depth-1 special case of the same rule: the argmin-pressure leaf, origin
@@ -51,37 +49,44 @@ class TreePressureGateway(GatewayPolicy):
     description = "descend the federation tree into the least-pressured subtree"
     supports_hierarchy = True
 
-    def __init__(
-        self,
-        *,
-        wan_mb_weight: float = 0.05,
-        migration_weight: float = 0.0,
-    ) -> None:
+    def __init__(self, *, wan_mb_weight: float = 0.05) -> None:
         if wan_mb_weight < 0:
             raise ConfigurationError(
                 f"wan_mb_weight must be >= 0, got {wan_mb_weight}"
             )
-        if migration_weight < 0:
-            raise ConfigurationError(
-                f"migration_weight must be >= 0, got {migration_weight}"
-            )
         self.wan_mb_weight = wan_mb_weight
-        self.migration_weight = migration_weight
 
     def choose_cluster(self, ctx: GatewayContext) -> int:
         view = ctx.hierarchy
         if view is None:
             return self._choose_flat(ctx)
         tree = view.tree
-        origin = ctx.origin
+        in_system = view.in_system
+        alive = view.alive
+        inflight = view.inflight_mb
+        leaves_under = tree.leaves_under
+        n_leaves = tree.n_leaves
+        weight = self.wan_mb_weight
+        # A child is local iff it is an ancestor-or-self of the origin.
+        origin_chain = tree.leaf_ancestors[ctx.origin]
+        inf = float("inf")
         node = tree.root
-        while not tree.is_leaf(node):
+        while node >= n_leaves:  # interior node: descend one level
             best = -1
-            best_pressure = float("inf")
+            best_pressure = inf
             best_local = False
             for child in tree.children[node]:
-                pressure = self._subtree_pressure(ctx, view, child)
-                local = origin in tree.leaves_under[child]
+                live = alive[child]
+                if live <= 0:
+                    pressure = inf
+                else:
+                    # Summed leaf by leaf in leaf order, never kept as a
+                    # per-node float: the rounding must match the leaf scan.
+                    inflight_mb = 0.0
+                    for leaf in leaves_under[child]:
+                        inflight_mb += inflight[leaf]
+                    pressure = (in_system[child] + weight * inflight_mb) / live
+                local = child in origin_chain
                 if (
                     best < 0
                     or pressure < best_pressure
@@ -90,33 +95,6 @@ class TreePressureGateway(GatewayPolicy):
                     best, best_pressure, best_local = child, pressure, local
             node = best
         return node
-
-    def _subtree_pressure(
-        self, ctx: GatewayContext, view: "HierarchyView", node: int
-    ) -> float:
-        """Aggregate pressure of one subtree (leaves beneath ``node``)."""
-        tree = view.tree
-        inflight = view.inflight_mb
-        in_system = 0
-        inflight_mb = 0.0
-        migrations = 0
-        alive = 0
-        for leaf in tree.leaves_under[node]:
-            shard = ctx.shards[leaf]
-            in_system += shard.in_system
-            inflight_mb += inflight[leaf]
-            cluster = shard.cluster
-            alive += len(cluster.machines) - cluster.state.n_down
-            if self.migration_weight and ctx.migrations is not None:
-                migrations += ctx.migrations_from(leaf)
-        if alive <= 0:
-            return float("inf")
-        load = (
-            in_system
-            + self.wan_mb_weight * inflight_mb
-            + self.migration_weight * migrations
-        )
-        return load / alive
 
     def _choose_flat(self, ctx: GatewayContext) -> int:
         """Depth-1 degenerate walk: argmin leaf pressure, origin on ties."""

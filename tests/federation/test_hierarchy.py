@@ -29,7 +29,7 @@ from repro.machines.eet import EETMatrix
 from repro.metrics.rollup import TreeRollup
 from repro.net import InterClusterTopology
 from repro.net.topology import Link
-from repro.scheduling.federation import TreePressureGateway
+from repro.scheduling.federation import TreePressureGateway, create_gateway
 from repro.tasks.task import Task
 from repro.tasks.task_type import TaskType
 from repro.tasks.workload import Workload
@@ -307,12 +307,16 @@ class TestRefusals:
         with pytest.raises(ConfigurationError, match="parallel federated"):
             scenario.build_simulator(parallel_workers=2)
 
-    @pytest.mark.parametrize(
-        "params", [{"wan_mb_weight": -1.0}, {"migration_weight": -0.5}]
-    )
+    @pytest.mark.parametrize("params", [{"wan_mb_weight": -1.0}])
     def test_gateway_rejects_negative_weights(self, params):
         with pytest.raises(ConfigurationError, match=">= 0"):
             TreePressureGateway(**params)
+
+    def test_gateway_has_no_migration_weight(self):
+        # Trees refuse migration, so the knob could never act; a spec that
+        # still passes it fails at load through the registry.
+        with pytest.raises(ConfigurationError, match="bad parameters"):
+            create_gateway("TREE_PRESSURE", migration_weight=0.5)
 
 
 class TestHierarchicalExecution:
