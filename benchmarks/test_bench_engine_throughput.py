@@ -337,8 +337,7 @@ def test_bench_scale_federation_throughput(benchmark, results_dir):
     """Federation-scale tier: the scale_federation preset — 24 sites, 1152
     machines, ~28k tasks, every one routed through the random-split gateway
     and (23 times out of 24) shipped across the uniform WAN. The largest
-    committed workload; guards the serial federated engine at the scale the
-    parallel path is built for."""
+    committed workload; guards the federated engine at full scale."""
     scenario = build_scenario("scale_federation")
     result, mean_s = run_timed(
         benchmark, scenario.run, rounds=3, iterations=1, warmup_rounds=1
@@ -349,44 +348,6 @@ def test_bench_scale_federation_throughput(benchmark, results_dir):
     _record(
         results_dir,
         "federation scale tier (24 sites, serial)",
-        f"{result.events_processed} events, "
-        f"{result.summary.total_tasks} tasks, "
-        f"{result.offload_rate:.0%} offloaded, "
-        f"{events_per_sec:,.0f} events/s",
-        events=result.events_processed,
-        tasks=result.summary.total_tasks,
-        offload_rate=round(result.offload_rate, 4),
-        events_per_sec=round(events_per_sec, 1),
-        mean_wall_s=mean_s,
-    )
-    assert result.summary.total_tasks > 20000
-    assert 0.0 < result.offload_rate < 1.0
-    assert events_per_sec > 1000
-
-
-def test_bench_parallel_federation_throughput(benchmark, results_dir):
-    """Window-parallel tier: scale_federation again, but executed by
-    ``ParallelFederatedSimulator`` with 4 worker processes advancing in
-    350 ms conservative windows. The result is bit-identical to the serial
-    tier above (the integration suite pins that); this benchmark records
-    what the process fan-out costs or earns on the current host. On a
-    multi-core box the workers run concurrently; on a single core they
-    time-slice, so the committed baseline is the honest single-core figure
-    and any speedup shows up as headroom, not a regression."""
-    scenario = build_scenario("scale_federation")
-
-    def run_parallel():
-        return scenario.build_simulator(parallel_workers=4).run()
-
-    result, mean_s = run_timed(
-        benchmark, run_parallel, rounds=3, iterations=1, warmup_rounds=1
-    )
-    events_per_sec = result.events_processed / mean_s
-    benchmark.extra_info["events"] = result.events_processed
-    benchmark.extra_info["events_per_sec"] = events_per_sec
-    _record(
-        results_dir,
-        "federation scale tier (24 sites, 4 workers)",
         f"{result.events_processed} events, "
         f"{result.summary.total_tasks} tasks, "
         f"{result.offload_rate:.0%} offloaded, "

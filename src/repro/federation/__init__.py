@@ -10,7 +10,9 @@ layer (:mod:`repro.scheduling.federation`) routing arriving tasks between
 clusters over an :class:`~repro.net.topology.InterClusterTopology` of WAN
 links. The canonical heterogeneous-computing scenarios this unlocks —
 edge-cloud offloading, geo-distributed sites, hierarchical scheduling —
-ship as presets in :mod:`repro.scenarios.federated`.
+ship as presets in :mod:`repro.scenarios.federated`. Trees of regions
+(:mod:`repro.federation.hierarchy`) run on the same engine, relaying
+offloads hop by hop over shared uplinks.
 
 Mid-queue migration (:mod:`repro.federation.migration`) extends the
 gateway's one-shot routing: when a :class:`~repro.federation.spec.MigrationSpec`
@@ -19,12 +21,7 @@ tasks from saturated shards' batch queues and re-homes them over the same
 contended WAN channels offloads use.
 """
 
-from .hierarchy import (
-    ClusterPath,
-    FederationTree,
-    HierarchicalFederatedSimulator,
-    HierarchyView,
-)
+from .hierarchy import ClusterPath, FederationTree, HierarchyView
 from .migration import Rebalancer
 from .result import FederatedSimulationResult
 from .shard import ClusterShard
@@ -43,5 +40,4 @@ __all__ = [
     "ClusterPath",
     "FederationTree",
     "HierarchyView",
-    "HierarchicalFederatedSimulator",
 ]

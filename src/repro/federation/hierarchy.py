@@ -1,10 +1,12 @@
 """Hierarchical federations: path-routed multi-level topologies.
 
-A flat federation (:mod:`repro.federation.simulator`) is a clique: every
-cluster pair has its own direct WAN link. Planet-scale deployments are not
-cliques — they are trees (region → site → cluster), where two clusters in
-different regions talk through both region **uplinks** and a congested
-uplink back-pressures every site beneath it. This module is that tree:
+A flat federation is a clique: every cluster pair has its own direct WAN
+link. Planet-scale deployments are not cliques — they are trees (region →
+site → cluster), where two clusters in different regions talk through both
+region **uplinks** and a congested uplink back-pressures every site beneath
+it. This module holds that tree's data structures; the engine that runs it
+is the one every federation runs on,
+:class:`~repro.federation.simulator.FederatedSimulator`:
 
 * :class:`ClusterPath` — a leaf's position as a ``/``-joined name path
   (``"eu/paris/edge-0"``), the wire form of hierarchical addressing.
@@ -15,13 +17,13 @@ uplink back-pressures every site beneath it. This module is that tree:
 * :class:`HierarchyView` — what a tree-capable gateway policy sees: the
   tree, live per-node task and live-machine counters, and per-leaf
   in-flight WAN megabytes.
-* :class:`HierarchicalFederatedSimulator` — the engine. Offloads hop the
-  tree store-and-forward: each hop is one :class:`~repro.net.wan.WanTransfer`
-  on the child↔parent uplink channel, relay deliveries carry the remaining
-  node path as their :attr:`~repro.core.events.Event.cluster` (a tuple),
-  and the *final* hop carries the destination leaf as a plain ``int`` — so
-  flat federations, whose every path has one hop, keep byte-identical
-  event streams.
+
+Offloads hop the tree store-and-forward: each hop is one
+:class:`~repro.net.wan.WanTransfer` on the child↔parent uplink channel,
+relay deliveries carry the remaining node path as their
+:attr:`~repro.core.events.Event.cluster` (a tuple), and the *final* hop
+carries the destination leaf as a plain ``int`` — the form a flat
+federation's one-hop deliveries use.
 
 Routing address forms, by example (leaf ids 0..n-1, interior ids above)::
 
@@ -31,43 +33,19 @@ Routing address forms, by example (leaf ids 0..n-1, interior ids above)::
 Refusals are explicit: gateways that do not understand trees
 (``supports_hierarchy`` is false) are rejected at construction — a flat
 policy would price every leaf pair over a direct link the tree does not
-have — and :class:`~repro.federation.parallel.ParallelFederatedSimulator`
-rejects hierarchical specs (shared uplink channels couple all shards, so
-the conservative per-pair lookahead windows no longer bound cross-shard
-effects).
+have.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from ..core.errors import (
-    ConfigurationError,
-    SimulationStateError,
-)
-from ..core.events import Event, EventType
-from ..metrics.rollup import TreeRollup, offload_energy_split, routing_table
+from ..core.errors import ConfigurationError
 from ..net.topology import InterClusterTopology, Link
-from ..net.wan import WanManager
-from ..tasks.task import TaskStatus
-from .result import FederatedSimulationResult
-from .simulator import FederatedSimulator
 from .spec import ClusterSpec, FederationSpec, RegionSpec
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..scheduling.federation.base import GatewayPolicy
-    from ..tasks.task import Task
-
-__all__ = [
-    "ClusterPath",
-    "FederationTree",
-    "HierarchyView",
-    "HierarchicalFederatedSimulator",
-]
-
-_ARRIVAL = EventType.TASK_ARRIVAL
-_CREATED = TaskStatus.CREATED
+__all__ = ["ClusterPath", "FederationTree", "HierarchyView"]
 
 #: Name of the implicit federation root node (reserved in specs).
 ROOT_NAME = "*"
@@ -295,260 +273,3 @@ class HierarchyView:
     in_system: Sequence[int]
     alive: Sequence[int]
     inflight_mb: Sequence[float]
-
-
-class HierarchicalFederatedSimulator(FederatedSimulator):
-    """Federated engine whose WAN is a tree of shared uplinks.
-
-    Subclasses the flat engine and overrides exactly the routing surface:
-    gateway arrivals walk the tree hop by hop (each hop a WAN transfer on
-    the child↔parent channel), relay deliveries re-submit the next hop,
-    and per-leaf attempted/delivered/cancelled counters feed the
-    :class:`~repro.metrics.rollup.TreeRollup` attached to the result.
-    """
-
-    def __init__(
-        self,
-        spec: FederationSpec,
-        eet: Any,
-        workload: Any,
-        **kwargs: Any,
-    ) -> None:
-        if spec.children is None:
-            raise ConfigurationError(
-                "HierarchicalFederatedSimulator needs a hierarchical "
-                "FederationSpec (children set); flat federations run on "
-                "FederatedSimulator"
-            )
-        self._tree = FederationTree(spec)
-        n = len(spec.clusters)
-        # Per-leaf WAN conservation counters: attempted == delivered +
-        # cancelled_in_flight at every node once the run drains (checked by
-        # the property suite at every interior node via the rollup).
-        self._inflight_mb: list[float] = [0.0] * n
-        self._wan_attempted: list[int] = [0] * n
-        self._wan_delivered: list[int] = [0] * n
-        self._wan_cancelled: list[int] = [0] * n
-        super().__init__(spec, eet, workload, **kwargs)
-        tree = self._tree
-        self._in_system: list[int] = [0] * tree.n_nodes
-        self._alive: list[int] = [
-            sum(len(self.shards[leaf].cluster.machines) for leaf in leaves)
-            for leaves in tree.leaves_under
-        ]
-        self._ctx.hierarchy = HierarchyView(
-            tree=tree,
-            in_system=self._in_system,
-            alive=self._alive,
-            inflight_mb=self._inflight_mb,
-        )
-        for shard in self.shards:
-            collector = shard.collector
-            collector.on_terminal = self._count_terminal(
-                tree.leaf_ancestors[shard.index], collector.on_terminal
-            )
-
-    # -- construction hooks ---------------------------------------------------------
-
-    def _make_gateway(self) -> "GatewayPolicy":
-        gateway = super()._make_gateway()
-        if not gateway.supports_hierarchy:
-            raise ConfigurationError(
-                f"gateway {gateway.name!r} does not support hierarchical "
-                "federations: it compares clusters over direct links the "
-                "tree does not have. Use a tree-capable policy "
-                "(e.g. TREE_PRESSURE) or flatten the federation."
-            )
-        return gateway
-
-    def _make_wan(self, wan_seed: int | None) -> WanManager:
-        # The engine's working topology is the tree's hop topology (uplink
-        # edges over the full node namespace), not the spec's: WAN routes,
-        # gateway context and energy accounting all see tree edges.
-        self.topology = self._tree.hop_topology
-        return WanManager(
-            self.topology,
-            self.events,
-            list(self._tree.node_names),
-            seed=wan_seed,
-        )
-
-    @property
-    def tree(self) -> FederationTree:
-        """The compiled federation tree."""
-        return self._tree
-
-    # -- live per-node counters -------------------------------------------------------
-
-    def _count_terminal(
-        self, chain: tuple[int, ...], then: Callable[["Task"], None] | None
-    ) -> Callable[["Task"], None]:
-        """A leaf collector's terminal hook: leave every ancestor, then
-        call the hook already installed there (the feedback gateway's)."""
-        in_system = self._in_system
-
-        def on_terminal(task: "Task") -> None:
-            for node in chain:
-                in_system[node] -= 1
-            if then is not None:
-                then(task)
-
-        return on_terminal
-
-    def _on_alive_change(self, shard: int, delta: int) -> None:
-        for node in self._tree.leaf_ancestors[shard]:
-            self._alive[node] += delta
-
-    # -- event routing ----------------------------------------------------------------
-
-    def _dispatch(self, event: Event) -> None:
-        cluster_id = event.cluster
-        if type(cluster_id) is tuple:
-            # A relay hop landed on an interior node; the tuple is the
-            # remaining node path (current node first).
-            self._on_relay(event.payload, cluster_id)
-            return
-        if cluster_id is not None and event.type is _ARRIVAL:
-            # Final hop: the offloaded task reached its destination leaf.
-            task = event.payload
-            transfer = self._transfers.pop(task.id, None)
-            if transfer is not None:
-                self._wan.on_delivered(transfer, self.clock._now)
-                self._wan.release(transfer)
-            assert isinstance(cluster_id, int)
-            self._inflight_mb[cluster_id] -= task.task_type.data_in
-            self._wan_delivered[cluster_id] += 1
-            self.shards[cluster_id]._on_arrival(task)
-            return
-        super()._dispatch(event)
-
-    def _on_relay(self, task: "Task", path: tuple[int, ...]) -> None:
-        """A store-and-forward hop finished; launch the next one."""
-        transfer = self._transfers.pop(task.id, None)
-        if transfer is None:  # pragma: no cover - defensive
-            raise SimulationStateError(
-                f"relay delivery for task {task.id} without a tracked "
-                "WAN transfer"
-            )
-        self._wan.on_delivered(transfer, self.clock._now)
-        self._wan.release(transfer)
-        self._forward(task, path)
-
-    def _forward(self, task: "Task", route: tuple[int, ...]) -> None:
-        """Ship a task along ``route`` (``route[0]`` = node it is at now).
-
-        Each hop is one WAN transfer on the child↔parent uplink channel.
-        Intermediate hops stamp the remaining node path on their delivery
-        event; the final hop stamps the destination leaf id as a plain
-        ``int``, the flat wire form. Zero-delay hops return no transfer
-        handle and are crossed immediately within this call.
-        """
-        now = self.clock._now
-        last = len(route) - 1
-        i = 1
-        while True:
-            src, dst = route[i - 1], route[i]
-            tag: int | tuple[int, ...] = (
-                dst if i == last else tuple(route[i:])
-            )
-            transfer = self._wan.submit(task, src, dst, now, tag=tag)
-            if transfer is not None:
-                self._transfers[task.id] = transfer
-                return
-            if i == last:
-                # The whole remaining path crossed instantly.
-                self._inflight_mb[dst] -= task.task_type.data_in
-                self._wan_delivered[dst] += 1
-                self.shards[dst]._on_arrival(task)
-                return
-            i += 1
-
-    # -- the gateway layer -------------------------------------------------------------
-
-    def _on_gateway_arrival(self, task: "Task") -> None:
-        origin = task.origin_cluster
-        if origin is None:  # pragma: no cover - defensive
-            raise SimulationStateError(
-                f"task {task.id} reached the gateway without an origin cluster"
-            )
-        ctx = self._ctx
-        ctx.now = self.clock._now
-        ctx.task = task
-        ctx.origin = origin
-        destination = self.gateway.choose_cluster(ctx)
-        if not 0 <= destination < len(self.shards):
-            raise SimulationStateError(
-                f"{self.gateway.name}: cluster index {destination} out of "
-                f"range for {len(self.shards)} leaf clusters"
-            )
-        task.cluster = destination
-        self._routing[origin][destination] += 1
-        shard = self.shards[destination]
-        shard.routed += 1
-        for node in self._tree.leaf_ancestors[destination]:
-            self._in_system[node] += 1
-        if destination == origin:
-            shard._on_arrival(task)
-            return
-        self._offloaded += 1
-        self._wan_attempted[destination] += 1
-        self._inflight_mb[destination] += task.task_type.data_in
-        self._forward(task, self._tree.route(origin, destination))
-
-    def _on_deadline(self, task: "Task") -> None:
-        if task.status is _CREATED and task.id in self._transfers:
-            # Still hopping the tree: the WAN cancellation itself (channel
-            # bookkeeping, terminal recording) is the flat path's job; only
-            # the per-leaf conservation counters are ours.
-            leaf = task.cluster
-            assert isinstance(leaf, int)
-            self._inflight_mb[leaf] -= task.task_type.data_in
-            self._wan_cancelled[leaf] += 1
-        super()._on_deadline(task)
-
-    # -- results -----------------------------------------------------------------------
-
-    def _leaf_stats(self, index: int) -> dict[str, float]:
-        """The per-leaf numbers the tree rollup aggregates."""
-        shard = self.shards[index]
-        counts = shard.collector.counts()
-        return {
-            "routed": float(shard.routed),
-            "completed": float(counts["completed"]),
-            "missed": float(counts["missed"]),
-            "cancelled": float(counts["cancelled"]),
-            "wan_attempted": float(self._wan_attempted[index]),
-            "wan_delivered": float(self._wan_delivered[index]),
-            "wan_cancelled_in_flight": float(self._wan_cancelled[index]),
-            "machines": float(len(shard.cluster.machines)),
-        }
-
-    def tree_rollup(self) -> TreeRollup:
-        """Current per-level rollup (callable mid-run or at the end)."""
-        return TreeRollup.from_leaves(
-            self._tree.leaf_paths,
-            [self._leaf_stats(i) for i in range(len(self.shards))],
-        )
-
-    def _build_result(self) -> FederatedSimulationResult:
-        base = super()._build_result()
-        wires = [p.wire for p in self._tree.leaf_paths]
-        all_tasks: list["Task"] = []
-        for shard in self.shards:
-            all_tasks.extend(shard.collector.tasks())
-        return dataclasses.replace(
-            base,
-            # Routing keys become full leaf paths: globally unambiguous,
-            # and they make the level structure visible in reports.
-            routing=routing_table(wires, self._routing),
-            # The energy split prices each offload over its *tree path* —
-            # every uplink hop pays its own J/MB — instead of a direct
-            # link the topology does not have.
-            energy_split=offload_energy_split(
-                all_tasks,
-                self.spec.names,
-                self.topology,
-                energy_fn=self._tree.path_transfer_energy,
-            ),
-            tree=self.tree_rollup(),
-        )

@@ -9,6 +9,15 @@ tasks pay the WAN transfer delay of the federation's
 destination's batch queue, where the cluster's *local* policy maps them to
 machines exactly as in a single-cluster run.
 
+Flat and hierarchical federations run on this one engine; they differ only
+in the *route* an offload takes. A flat federation's route is the direct
+pair ``(origin, destination)`` over the spec topology. A tree's route is
+:meth:`~repro.federation.hierarchy.FederationTree.route` over its uplink
+hop topology: each hop is one WAN transfer, relay deliveries carry the
+remaining node path as their :attr:`~repro.core.events.Event.cluster` (a
+tuple), and the final hop carries the destination leaf as a plain ``int``
+— the form every flat delivery uses.
+
 Event flow per task::
 
     arrival ──▶ gateway policy ──▶ [WAN transfer] ──▶ batch queue ──▶ local
@@ -18,14 +27,16 @@ Event flow per task::
 Routing uses the ``cluster`` id stamped on every event: shard-scheduled
 events (completions, deliveries, failures, repairs) carry their shard index
 and go straight back to the owning shard's handlers; federation-level events
-(initial arrivals, deadlines) carry ``None`` and are handled here.
+(initial arrivals, deadlines) carry ``None`` and are handled here; relay
+hops of a tree carry their remaining node path.
 
 When the spec carries a :class:`~repro.federation.spec.MigrationSpec`, a
 :class:`~repro.federation.migration.Rebalancer` additionally re-homes tasks
 *mid-queue*: periodic ``TASK_MIGRATION`` ticks (``cluster=None``) evict
 tasks from saturated shards' batch queues and ship them over the same WAN
 channels offloads use; the resulting deliveries are ``TASK_MIGRATION``
-events carrying the destination shard id.
+events carrying the destination shard id. Trees refuse migration at spec
+load.
 """
 
 from __future__ import annotations
@@ -35,7 +46,11 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..core.clock import SimulationClock
-from ..core.errors import SchedulingError, SimulationStateError
+from ..core.errors import (
+    ConfigurationError,
+    SchedulingError,
+    SimulationStateError,
+)
 from ..core.event_queue import EventQueue
 from ..core.events import Event, EventType
 from ..core.rng import derive_seed, make_rng, spawn
@@ -50,6 +65,7 @@ from ..metrics.collector import SummaryMetrics
 from ..metrics.records import RecordsSource
 from ..metrics.rollup import (
     MigrationStats,
+    TreeRollup,
     global_energy,
     global_summary,
     offload_energy_split,
@@ -62,6 +78,7 @@ from ..scheduling.overhead import SchedulingOverhead
 from ..scheduling.registry import create_scheduler
 from ..tasks.task import Task, TaskStatus
 from ..tasks.workload import Workload
+from .hierarchy import FederationTree, HierarchyView
 from .migration import Rebalancer
 from .result import FederatedSimulationResult
 from .shard import ClusterShard
@@ -81,6 +98,11 @@ _MIGRATION = EventType.TASK_MIGRATION
 _CROSS_TRAFFIC = EventType.CROSS_TRAFFIC
 _CONTROL = EventType.CONTROL
 _CREATED = TaskStatus.CREATED
+
+
+def _direct_route(origin: int, destination: int) -> tuple[int, ...]:
+    """A flat federation's route: one hop over the direct link."""
+    return (origin, destination)
 
 
 class FederatedSimulator:
@@ -110,8 +132,32 @@ class FederatedSimulator:
         self.spec = spec
         self.workload = workload
         self.drop_on_deadline = drop_on_deadline
-        self.topology = spec.topology
         self.observers = list(observers)
+        n = len(spec.clusters)
+
+        # The route layer. Everything per event below is the same code for
+        # both shapes; only these tables differ. ``_ancestors[leaf]`` is the
+        # chain of tree nodes whose live counters move with a task at that
+        # leaf. A flat federation keeps no per-node counters (its gateways
+        # read each shard's own load), so its chains are empty.
+        tree = FederationTree(spec) if spec.children is not None else None
+        self._tree = tree
+        wan_names: list[str]
+        if tree is None:
+            self.topology = spec.topology
+            wan_names = spec.names
+            self._route: Callable[[int, int], tuple[int, ...]] = _direct_route
+            self._ancestors: Sequence[tuple[int, ...]] = [()] * n
+            n_nodes = 0
+        else:
+            # A tree's working topology is its hop topology (uplink edges
+            # over the full node namespace): WAN routes, the gateway
+            # context and energy accounting all see tree edges.
+            self.topology = tree.hop_topology
+            wan_names = tree.node_names
+            self._route = tree.route
+            self._ancestors = tree.leaf_ancestors
+            n_nodes = tree.n_nodes
 
         self.clock = SimulationClock()
         self.events = EventQueue()
@@ -124,7 +170,7 @@ class FederatedSimulator:
             # Spawn keys are sequential, so asking for one extra child
             # (the WAN cross-traffic root) leaves the first n+2 substreams
             # exactly where pre-cross-traffic builds drew them.
-            children = spawn(seed, len(spec.clusters) + 3)
+            children = spawn(seed, n + 3)
             origins_rng, self._gateway_rng = children[0], children[1]
             shard_rngs = children[2:-1]
             wan_seed = int(children[-1].integers(0, 2**31 - 1))
@@ -135,11 +181,18 @@ class FederatedSimulator:
             )
             shard_rngs = [
                 make_rng(derive_seed(seed, "federation", "shard", i))
-                for i in range(len(spec.clusters))
+                for i in range(n)
             ]
             wan_seed = derive_seed(seed, "federation", "crosstraffic")
 
         self.gateway = self._make_gateway()
+        if tree is not None and not self.gateway.supports_hierarchy:
+            raise ConfigurationError(
+                f"gateway {self.gateway.name!r} does not support hierarchical "
+                "federations: it compares clusters over direct links the "
+                "tree does not have. Use a tree-capable policy "
+                "(e.g. TREE_PRESSURE) or flatten the federation."
+            )
         self.gateway.reset()
 
         self.shards: list[ClusterShard] = []
@@ -196,12 +249,28 @@ class FederatedSimulator:
             local_names.pop() if len(local_names) == 1 else "mixed"
         )
 
-        n = len(self.shards)
         self._routing = [[0] * n for _ in range(n)]
         self._offloaded = 0
+        # Per-leaf WAN conservation counters for gateway offloads:
+        # attempted == delivered + cancelled_in_flight once the run drains.
+        # inflight_mb is per leaf only: a per-node float total would round
+        # differently from the leaf-order sum gateways read.
+        self._inflight_mb: list[float] = [0.0] * n
+        self._wan_attempted: list[int] = [0] * n
+        self._wan_delivered: list[int] = [0] * n
+        self._wan_cancelled: list[int] = [0] * n
+        # Live per-node counters: routed-but-not-terminal tasks and live
+        # machines under each tree node.
+        self._in_system: list[int] = [0] * n_nodes
+        self._alive: list[int] = [0] * n_nodes
+        for shard in self.shards:
+            for node in self._ancestors[shard.index]:
+                self._alive[node] += len(shard.cluster.machines)
         # WAN link channels: contention disciplines, per-link energy, and
         # the cancellation handles for tasks still crossing the WAN.
-        self._wan = self._make_wan(wan_seed)
+        self._wan = WanManager(
+            self.topology, self.events, wan_names, seed=wan_seed
+        )
         self._transfers: dict[int, WanTransfer] = {}
         # Mid-queue migration: a periodic rebalance pass sharing the WAN
         # channels above. None when the spec does not ask for it — the
@@ -229,17 +298,32 @@ class FederatedSimulator:
                 if self._rebalancer is None
                 else self._rebalancer.matrix_counts
             ),
+            hierarchy=(
+                None
+                if tree is None
+                else HierarchyView(
+                    tree=tree,
+                    in_system=self._in_system,
+                    alive=self._alive,
+                    inflight_mb=self._inflight_mb,
+                )
+            ),
         )
+        # Every terminal task funnels through exactly one shard collector
+        # (completions, deadline misses, in-WAN cancellations): its hook
+        # leaves the live counters and, for a learning gateway, pays it for
+        # precisely the tasks it routed.
+        then: Callable[[Task], None] | None = None
         if self.gateway.wants_feedback:
-            # Every terminal task funnels through exactly one shard
-            # collector (completions, deadline misses, in-WAN
-            # cancellations), so hooking record_terminal there pays the
-            # learning gateway for precisely the tasks it routed.
-            def _feed_back(task: Task) -> None:
+
+            def feed_back(task: Task) -> None:
                 self.gateway.record_outcome(task, self.clock._now)
 
-            for shard in self.shards:
-                shard.collector.on_terminal = _feed_back
+            then = feed_back
+        for shard in self.shards:
+            shard.collector.on_terminal = self._count_terminal(
+                self._ancestors[shard.index], then
+            )
 
         # Origin assignment: one vectorised draw, a pure function of the
         # federation seed — identical across gateway/local-policy sweeps.
@@ -267,23 +351,32 @@ class FederatedSimulator:
     # -- construction hooks ---------------------------------------------------------
 
     def _make_gateway(self) -> GatewayPolicy:
-        """Build the gateway policy (hook for the hierarchical engine)."""
+        """Build the gateway policy (a hook for test harnesses)."""
         return create_gateway(self.spec.gateway, **self.spec.gateway_params)
 
-    def _make_wan(self, wan_seed: int | None) -> WanManager:
-        """Build the WAN manager (hook for the hierarchical engine).
+    # -- live per-node counters -------------------------------------------------------
 
-        Overrides may reassign ``self.topology`` before constructing the
-        manager; the gateway context is built afterwards, so it picks up
-        whatever topology this hook leaves behind.
-        """
-        return WanManager(
-            self.topology, self.events, self.spec.names, seed=wan_seed
-        )
+    def _count_terminal(
+        self, chain: tuple[int, ...], then: Callable[[Task], None] | None
+    ) -> Callable[[Task], None] | None:
+        """A leaf collector's terminal hook: leave every node of ``chain``,
+        then call ``then`` (the feedback gateway's hook), if any."""
+        if not chain:
+            return then
+        in_system = self._in_system
+
+        def on_terminal(task: Task) -> None:
+            for node in chain:
+                in_system[node] -= 1
+            if then is not None:
+                then(task)
+
+        return on_terminal
 
     def _on_alive_change(self, shard: int, delta: int) -> None:
-        """Shard ``shard`` gained ``delta`` live machines (hook; the flat
-        engine keeps no aggregate to update)."""
+        """Shard ``shard`` gained ``delta`` live machines."""
+        for node in self._ancestors[shard]:
+            self._alive[node] += delta
 
     # -- public control surface ----------------------------------------------------
 
@@ -303,6 +396,11 @@ class FederatedSimulator:
     def recorded(self) -> int:
         """Terminal tasks across all shards."""
         return sum(shard.collector.recorded for shard in self.shards)
+
+    @property
+    def tree(self) -> FederationTree | None:
+        """The compiled federation tree (``None`` on flat federations)."""
+        return self._tree
 
     @property
     def wan(self) -> WanManager:
@@ -381,9 +479,8 @@ class FederatedSimulator:
     # -- event routing ---------------------------------------------------------------
 
     def _dispatch(self, event: Event) -> None:
-        # Flat federations never stamp tuple cluster paths (single-element
-        # paths are always their int form); the hierarchy engine intercepts
-        # tuples in its own _dispatch before delegating here.
+        # Only relay hops of a tree carry a tuple path, and they are all
+        # TASK_ARRIVAL deliveries; every other event carries an int or None.
         cluster_id: int | None = event.cluster  # type: ignore[assignment]
         etype = event.type
         if cluster_id is None:
@@ -415,12 +512,17 @@ class FederatedSimulator:
             # dispatch chain and call the handler directly.
             self.shards[cluster_id]._on_completion(event.payload)
         elif etype is _ARRIVAL:
-            # A WAN transfer completed: the task reaches its destination.
-            transfer = self._transfers.pop(event.payload.id, None)
+            # A WAN hop completed: relay onwards, or reach the destination.
+            task = event.payload
+            transfer = self._transfers.pop(task.id, None)
             if transfer is not None:
                 self._wan.on_delivered(transfer, self.clock._now)
                 self._wan.release(transfer)
-            self.shards[cluster_id]._on_arrival(event.payload)
+            if type(cluster_id) is tuple:
+                # The remaining node path, current node first.
+                self._forward(task, cluster_id)
+            else:
+                self._deliver(task, cluster_id)
         elif etype is _MIGRATION:
             # A migrated task survived the WAN: re-enqueue at its new home.
             task = event.payload
@@ -460,15 +562,47 @@ class FederatedSimulator:
         self._routing[origin][destination] += 1
         shard = self.shards[destination]
         shard.routed += 1
-        if destination != origin:
-            self._offloaded += 1
+        in_system = self._in_system
+        for node in self._ancestors[destination]:
+            in_system[node] += 1
+        if destination == origin:
+            shard._on_arrival(task)
+            return
+        self._offloaded += 1
+        self._wan_attempted[destination] += 1
+        self._inflight_mb[destination] += task.task_type.data_in
+        self._forward(task, self._route(origin, destination))
+
+    def _forward(self, task: Task, route: tuple[int, ...]) -> None:
+        """Ship a task along ``route`` (``route[0]`` = node it is at now).
+
+        Each hop is one WAN transfer. Intermediate hops stamp the remaining
+        node path on their delivery event; the final hop stamps the
+        destination leaf id as a plain ``int``. Zero-delay hops return no
+        transfer handle and are crossed immediately within this call.
+        """
+        now = self.clock._now
+        last = len(route) - 1
+        i = 1
+        while True:
+            dst = route[i]
             transfer = self._wan.submit(
-                task, origin, destination, self.clock._now
+                task, route[i - 1], dst, now, tag=dst if i == last else route[i:]
             )
             if transfer is not None:
                 self._transfers[task.id] = transfer
                 return
-        shard._on_arrival(task)
+            if i == last:
+                # The whole remaining path crossed instantly.
+                self._deliver(task, dst)
+                return
+            i += 1
+
+    def _deliver(self, task: Task, leaf: int) -> None:
+        """An offloaded task reached its destination leaf."""
+        self._inflight_mb[leaf] -= task.task_type.data_in
+        self._wan_delivered[leaf] += 1
+        self.shards[leaf]._on_arrival(task)
 
     def _on_deadline(self, task: Task) -> None:
         if task.status.is_terminal:
@@ -495,11 +629,12 @@ class FederatedSimulator:
                 # further-along phases may return their slot to the pool.
                 in_fifo = transfer.phase is TransferPhase.QUEUED
                 self._wan.cancel(transfer, self.now)
-                if (
-                    transfer.kind is EventType.TASK_MIGRATION
-                    and self._rebalancer is not None
-                ):
+                if transfer.kind is _MIGRATION:
+                    assert self._rebalancer is not None
                     self._rebalancer.record_cancelled(task)
+                else:
+                    self._inflight_mb[cluster_id] -= task.task_type.data_in
+                    self._wan_cancelled[cluster_id] += 1
                 if not in_fifo:
                     self._wan.release(transfer)
             task.cancel(self.now)
@@ -528,6 +663,7 @@ class FederatedSimulator:
     def _build_result(self) -> FederatedSimulationResult:
         now = self.now
         names = self.spec.names
+        tree = self._tree
         per_cluster: dict[str, SummaryMetrics] = {}
         machines: list[Machine] = []
         for shard in self.shards:
@@ -547,10 +683,21 @@ class FederatedSimulator:
         else:
             migrations = {}
             mig_stats = MigrationStats()
+        if tree is None:
+            routing_names = names
+            rollup = None
+        else:
+            # Routing keys become full leaf paths: globally unambiguous,
+            # and they make the level structure visible in reports.
+            routing_names = [path.wire for path in tree.leaf_paths]
+            rollup = TreeRollup.from_leaves(
+                tree.leaf_paths,
+                [self._leaf_stats(i) for i in range(len(self.shards))],
+            )
         return FederatedSimulationResult(
             summary=summary,
             per_cluster=per_cluster,
-            routing=routing_table(names, self._routing),
+            routing=routing_table(routing_names, self._routing),
             offloaded=self._offloaded,
             wan_time_total=self._wan.total_time,
             records=RecordsSource(
@@ -565,12 +712,33 @@ class FederatedSimulator:
             gateway_name=self.gateway.name,
             events_processed=self._events_processed,
             wan_links=self._wan.usage(now),
+            # A tree prices each offload over its path: every uplink hop
+            # pays its own J/MB.
             energy_split=offload_energy_split(
-                all_tasks, names, self.topology
+                all_tasks,
+                names,
+                self.topology,
+                energy_fn=None if tree is None else tree.path_transfer_energy,
             ),
             migrations=migrations,
             migration_stats=mig_stats,
+            tree=rollup,
         )
+
+    def _leaf_stats(self, index: int) -> dict[str, float]:
+        """The per-leaf numbers a tree rollup aggregates."""
+        shard = self.shards[index]
+        counts = shard.collector.counts()
+        return {
+            "routed": float(shard.routed),
+            "completed": float(counts["completed"]),
+            "missed": float(counts["missed"]),
+            "cancelled": float(counts["cancelled"]),
+            "wan_attempted": float(self._wan_attempted[index]),
+            "wan_delivered": float(self._wan_delivered[index]),
+            "wan_cancelled_in_flight": float(self._wan_cancelled[index]),
+            "machines": float(len(shard.cluster.machines)),
+        }
 
     # -- renderer-facing state -----------------------------------------------------------
 

@@ -385,11 +385,10 @@ class FederationSpec:
     children:
         Optional hierarchy: a list of top-level :class:`RegionSpec` /
         :class:`ClusterSpec` nodes under an implicit federation root.
-        When set, ``clusters`` is derived from the tree's leaves and runs
-        execute on :class:`~repro.federation.hierarchy.
-        HierarchicalFederatedSimulator` — path routing over shared parent
-        uplinks. ``None`` (the default) is the flat, byte-identical
-        legacy form.
+        When set, ``clusters`` is derived from the tree's leaves and
+        offloads are path-routed over shared parent uplinks
+        (:class:`~repro.federation.hierarchy.FederationTree`). ``None``
+        (the default) is the flat form: one direct link per cluster pair.
     """
 
     clusters: list[ClusterSpec] = field(default_factory=list)

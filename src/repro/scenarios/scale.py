@@ -207,15 +207,10 @@ def scale_federation(
     destination — the classic probabilistic load-sharing discipline at the
     scale where it is actually used.
 
-    The defaults are deliberately parallel-friendly *and* honest: the
-    random-split gateway is state-blind (routing reads only weights and the
-    federation's seeded stream), the 350 ms link latency is the
-    conservative lookahead, so windowed shard-parallel execution
-    (``ParallelFederatedSimulator`` / ``--parallel-shards``) batches
-    hundreds of events per window, and the Min-Min batch mapper keeps the
-    per-arrival work shard-side — the regime where worker processes earn
-    their keep. The serial engine runs the identical event stream — both
-    paths are golden-comparable.
+    The random-split gateway is state-blind (routing reads only weights
+    and the federation's seeded stream), so the run's cost sits in the
+    shards: the Min-Min batch mapper does the per-arrival work, and the
+    350 ms links keep hundreds of tasks in the WAN at once.
     """
     from ..federation.spec import ClusterSpec, FederationSpec
     from ..net.topology import InterClusterTopology

@@ -206,12 +206,6 @@ class GatewayPolicy(abc.ABC):
     name: ClassVar[str] = ""
     #: Short human-readable description for the CLI / docs.
     description: ClassVar[str] = ""
-    #: Whether ``choose_cluster`` reads live shard/WAN state (pressure,
-    #: completion times, link backlog). State-blind policies (weights +
-    #: seeded draws only) can be evaluated by a coordinator that has not
-    #: synchronised with the shards — the property parallel federated
-    #: execution needs for bit-identical windowed runs.
-    reads_shard_state: ClassVar[bool] = True
     #: Whether the federation should call :meth:`record_outcome` for every
     #: terminal task. Learning policies (the adaptive gateway) opt in; the
     #: default keeps the stock policies free of per-task callback cost.
@@ -219,7 +213,7 @@ class GatewayPolicy(abc.ABC):
     #: Whether ``choose_cluster`` understands hierarchical federations
     #: (reads ``ctx.hierarchy`` and routes level by level). Flat policies
     #: compare leaves pairwise over direct links — links a tree topology
-    #: does not have — so the hierarchy engine refuses them at
+    #: does not have — so the federation engine refuses them on trees at
     #: construction rather than silently mis-pricing every WAN signal.
     supports_hierarchy: ClassVar[bool] = False
 

@@ -178,10 +178,6 @@ class RandomSplitGateway(GatewayPolicy):
 
     name = "RANDOM_SPLIT"
     description = "split tasks across clusters at random, by weight"
-    # Routing uses only static weights and the federation's seeded
-    # generator — never live shard state — so windowed-parallel execution
-    # can reproduce its decisions without synchronising with the shards.
-    reads_shard_state = False
 
     def __init__(self, *, weights: list[float] | None = None) -> None:
         if weights is not None:

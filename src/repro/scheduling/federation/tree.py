@@ -36,7 +36,7 @@ class TreePressureGateway(GatewayPolicy):
     then the earlier child, so a balanced tree degrades into keep-it-local.
 
     The ``in_system`` and live-machine sums are per-node counters the
-    hierarchy engine keeps current (``HierarchyView``); only the WAN term
+    federation engine keeps current (``HierarchyView``); only the WAN term
     is summed over the child's leaves, in leaf order.
 
     On a *flat* federation (no hierarchy in the context) the policy is the

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import Scenario
+from repro.core.errors import SchedulingError
 from repro.federation import ClusterSpec, FederationSpec
 from repro.machines.eet import EETMatrix
 from repro.machines.failures import FailureModel
 from repro.net import InterClusterTopology
 from repro.scenarios import build_scenario
+from repro.scheduling.federation.base import GatewayPolicy
 from repro.tasks.task import Task
 from repro.tasks.task_type import TaskType
 from repro.tasks.workload import Workload
@@ -234,3 +236,24 @@ class TestStepAndPartialRun:
         assert not simulator.is_finished
         full = simulator.run()
         assert full.summary.completed == 2
+
+
+class _RogueGateway(GatewayPolicy):
+    """Routes every task one past the last cluster."""
+
+    name = "ROGUE"
+    supports_hierarchy = True
+
+    def choose_cluster(self, ctx):
+        return len(ctx.shards)
+
+
+class TestGatewayFaults:
+    @pytest.mark.parametrize("preset", ["geo_3site", "hier_3region"])
+    def test_out_of_range_cluster_is_a_scheduling_error(self, preset):
+        # A bad index is the policy's fault, on flat and tree specs alike.
+        sim = build_scenario(preset).build_simulator()
+        sim.gateway = _RogueGateway()
+        with pytest.raises(SchedulingError, match="ROGUE: cluster index"):
+            sim.run()
+

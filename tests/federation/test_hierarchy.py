@@ -302,11 +302,6 @@ class TestRefusals:
         with pytest.raises(ConfigurationError, match="TREE_PRESSURE"):
             scenario.build_simulator()
 
-    def test_parallel_execution_is_refused(self):
-        scenario = hier_scenario([(0.0, 100.0)])
-        with pytest.raises(ConfigurationError, match="parallel federated"):
-            scenario.build_simulator(parallel_workers=2)
-
     @pytest.mark.parametrize("params", [{"wan_mb_weight": -1.0}])
     def test_gateway_rejects_negative_weights(self, params):
         with pytest.raises(ConfigurationError, match=">= 0"):

@@ -341,6 +341,18 @@ class TestCancellationConservation:
         assert again.events_processed == result.events_processed
 
 
+class TestOffloadCountersIgnoreMigrations:
+    def test_migrations_cancelled_in_flight_are_not_offload_cancels(self):
+        # The engine's per-leaf WAN counters track gateway offloads only.
+        sim = _phase_scenario().build_simulator()
+        sim.run()
+        assert sim.rebalancer.cancelled_in_flight == 3
+        assert sim._wan_cancelled == [0, 0]
+        assert sim._wan_attempted == [
+            d + c for d, c in zip(sim._wan_delivered, sim._wan_cancelled)
+        ]
+
+
 # -- migrations and offloads share one pipe ---------------------------------------------
 
 

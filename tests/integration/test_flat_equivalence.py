@@ -10,19 +10,21 @@ hierarchy code landed. A mismatch here means the generalisation leaked
 into flat behaviour (changed event ordering, altered WAN accounting,
 perturbed spec serialisation) and is a regression, not a re-pin.
 
-The serial ≡ parallel golden suite (``test_parallel_golden.py``) is
-re-asserted on the legacy presets as part of the wall: hierarchy refusal
-in the parallel engine must not disturb the flat parallel path either.
+A second, finer wall pins the *full* result of every registered federated
+preset — the 8 flat ones and the two trees — as captured just before flat
+and tree federations moved onto one engine: per-cluster metrics, event
+counts, end time, routing, WAN accounting, energy and its offload split,
+migration accounting, and the tree rollup. The first wall cannot see a
+shifted event count or a WAN/energy total; this one can.
 """
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from repro.scenarios import build_scenario
-
-from test_parallel_golden import FEDERATED_PRESETS, _fingerprint
 
 
 def _sha(obj):
@@ -104,18 +106,85 @@ def test_flat_preset_has_no_tree(preset):
     assert result.tree is None
 
 
+# (preset, factory overrides) — every registered federated preset, at
+# preset defaults except the scale preset, shrunk to test-tier runtime
+# (8 sites, one simulated minute: same code paths, ~1/20 the events).
+FEDERATED_PRESETS = [
+    ("diurnal_wan", {}),
+    ("edge_cloud", {}),
+    ("fed_adaptive", {}),
+    ("fed_congested", {}),
+    ("fed_heavytail", {}),
+    ("fed_rebalance", {}),
+    ("geo_3site", {}),
+    ("scale_federation", _OVERRIDES["scale_federation"]),
+    ("hier_3region", {}),
+    ("hier_deep", {}),
+]
+
+
+def _fingerprint(result):
+    """Everything a federated run reports, in JSON-able form."""
+    out = {
+        "summary": result.summary.as_dict(),
+        "per_cluster": {
+            name: s.as_dict() for name, s in result.per_cluster.items()
+        },
+        "events_processed": result.events_processed,
+        "end_time": result.end_time,
+        "routing": result.routing,
+        "offloaded": result.offloaded,
+        "wan_time_total": result.wan_time_total,
+        "energy": dataclasses.asdict(result.energy),
+        "wan_delivered": {
+            name: u.delivered for name, u in result.wan_links.items()
+        },
+        "energy_split": result.energy_split.as_dict(),
+        "migrations": result.migrations,
+        "migration_stats": result.migration_stats.as_dict(),
+    }
+    if result.tree is not None:
+        out["tree"] = result.tree.as_dict()
+    return out
+
+
+# sha256 of _fingerprint(result) per preset, captured at d68b94d, before
+# the tree engine was folded into FederatedSimulator. Do NOT re-pin these
+# to make a failure pass: a changed hash means the merge changed a result.
+FULL_RESULT_FINGERPRINTS = {
+    "diurnal_wan": "132fe8e3c101bacc414b354c1db31493cf3ebc06a277392759a64cd2699b2a57",
+    "edge_cloud": "aa972478ae9ea09cc9798316febc590639ce83f15d35ff8cc9ef38b5e9a94f27",
+    "fed_adaptive": "acc85036cb7b1fb63f757af306fc5db06faf6aef2cd610efd0a3144653e466ef",
+    "fed_congested": "e31a045112657bd5e76adf507835fb1dfdb5c29d29b66cc4bad8447535f1b70a",
+    "fed_heavytail": "0561e3e04e6e0d00bf27cb055e484c5fa41cb3cbe02161264dc58ed944ab74a1",
+    "fed_rebalance": "5c245c6129e14183e3a950b8c69edd039e111f54238de95403538c4aab3c9c03",
+    "geo_3site": "ecde2969bcd4fbd76be17ebf722127f0e87a5a5a984de6727be987487333dd60",
+    "scale_federation": "c1cdcd6ec43a781f610736f640ae2f89c2383368bb9b8352de4941d40c402d0d",
+    "hier_3region": "a760cb63efd7ff34dcbba4eb5f45d8eb356040e9673170698231d786932ea505",
+    "hier_deep": "0a38df48f618bd9b8e864e985d1e18b21f491da7de7047470a18b5648c53c30d",
+}
+
+
+def test_every_federated_preset_is_pinned():
+    from repro.scenarios import available_scenarios
+
+    federated = {
+        name
+        for name in available_scenarios()
+        if build_scenario(name).federation is not None
+    }
+    assert federated == {name for name, _ in FEDERATED_PRESETS}
+    assert federated == set(FULL_RESULT_FINGERPRINTS)
+
+
 @pytest.mark.parametrize(
     "preset,overrides",
     FEDERATED_PRESETS,
     ids=[name for name, _ in FEDERATED_PRESETS],
 )
-def test_serial_parallel_still_agree_on_legacy_presets(preset, overrides):
-    """Wall half two: the parallel engine's hierarchy refusal must leave
-    the flat parallel path bit-identical to serial, same as before."""
-    serial = build_scenario(preset, **overrides).run()
-    parallel = (
-        build_scenario(preset, **overrides)
-        .build_simulator(parallel_workers=2)
-        .run()
+def test_full_result_matches_pre_merge_main(preset, overrides):
+    result = build_scenario(preset, **overrides).run()
+    got = _sha(_fingerprint(result))
+    assert got == FULL_RESULT_FINGERPRINTS[preset], (
+        f"{preset} full result diverged from pre-merge main: {got}"
     )
-    assert _fingerprint(parallel) == _fingerprint(serial)

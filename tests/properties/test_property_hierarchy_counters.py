@@ -1,4 +1,4 @@
-"""The hierarchy engine's live per-node counters, checked event by event.
+"""The federation engine's per-node tree counters, checked event by event.
 
 ``TREE_PRESSURE`` reads two integer counters per tree node instead of
 rescanning every leaf: ``in_system`` (routed-but-not-terminal tasks under
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_property_hierarchy import federation_specs
 
-from repro.federation.hierarchy import HierarchicalFederatedSimulator
+from repro.federation import FederatedSimulator
 from repro.machines.eet import EETMatrix
 from repro.machines.failures import FailureModel
 from repro.scheduling.federation import TreePressureGateway
@@ -94,7 +94,7 @@ def _simulator(spec, tasks, data_in, *, seed, failures, feedback):
     )
     gateway = CheckedTreePressure(feedback=feedback)
 
-    class Engine(HierarchicalFederatedSimulator):
+    class Engine(FederatedSimulator):
         def _make_gateway(self):
             return gateway
 
