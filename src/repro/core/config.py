@@ -11,6 +11,8 @@ consumes.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
@@ -121,6 +123,30 @@ class Scenario:
             raise ConfigurationError(
                 f"machine_counts reference unknown machine types {sorted(unknown)}"
             )
+        if self.seed is not None and not (
+            isinstance(self.seed, numbers.Integral)
+            and not isinstance(self.seed, bool)
+            and self.seed >= 0
+        ):
+            raise ConfigurationError(
+                f"seed must be None or an integer >= 0, got {self.seed!r}"
+            )
+        if self.generator is not None:
+            if not isinstance(self.generator, Mapping):
+                raise ConfigurationError(
+                    f"generator must be a mapping, got {self.generator!r}"
+                )
+            duration = self.generator.get("duration")
+            if "duration" in self.generator and not (
+                isinstance(duration, numbers.Real)
+                and not isinstance(duration, bool)
+                and math.isfinite(duration)
+                and duration > 0
+            ):
+                raise ConfigurationError(
+                    "generator duration must be a finite positive number, "
+                    f"got {duration!r}"
+                )
         if self.workload is not None:
             self.workload.validate_against_eet(self.eet)
         if self.federation is not None:

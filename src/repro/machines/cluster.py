@@ -23,6 +23,14 @@ from .power import PowerProfile
 __all__ = ["Cluster", "ClusterState"]
 
 
+def _eet_groups(row: list[float]) -> list[tuple[float, tuple[int, ...]]]:
+    """Machine indices of one EET row grouped by EET value, cheapest first."""
+    groups: dict[float, list[int]] = {}
+    for j, e in enumerate(row):
+        groups.setdefault(e, []).append(j)
+    return [(e, tuple(groups[e])) for e in sorted(groups)]
+
+
 class ClusterState:
     """Incrementally-maintained planning arrays shared with the machines.
 
@@ -38,6 +46,7 @@ class ClusterState:
         "queued_work",
         "finish_list",
         "queued_list",
+        "queued_floor",
         "slots",
         "slots_list",
         "up",
@@ -54,6 +63,10 @@ class ClusterState:
         # instead of paying a .tolist() materialisation per decision.
         self.finish_list = [0.0] * n
         self.queued_list = [0.0] * n
+        # Smallest queued_work ever mirrored, or 0.0: a lower bound on every
+        # entry. The += / -= bookkeeping can leave residues like -1e-16, and
+        # the pruned MCT search must bound cells from below without a scan.
+        self.queued_floor = 0.0
         # Free machine-queue slots (0.0 while down, inf when unbounded),
         # mirrored by the same syncs: the batch mapping loop snapshots this
         # array instead of chasing queue attributes machine by machine; the
@@ -99,10 +112,12 @@ class Cluster:
         # a policy mutating its "own" EET vector cannot corrupt the cluster.
         self._eet_by_machine.setflags(write=False)
         self._row_of = {t.name: t.index for t in eet.task_types}
-        # Python-float copies of the EET rows for the small-cluster scalar
-        # fast path (argmin_completion): plain list indexing avoids NumPy
-        # scalar boxing inside the per-machine loop.
-        self._eet_lists = [row.tolist() for row in self._eet_by_machine]
+        # Per EET row, machine indices grouped by their (Python-float) EET
+        # and sorted by it: ``[(eet, (j, ...)), ...]`` with each group in
+        # index order. Machines of one type share an EET, so the scalar MCT
+        # search scans a few groups and stops at the first whose lower bound
+        # cannot win (see _scalar_mct).
+        self._mct_groups = [_eet_groups(row) for row in self._eet_by_machine.tolist()]
         self._state = ClusterState(len(self.machines))
         for i, m in enumerate(self.machines):
             m.bind_shared_state(self._state, i)
@@ -244,26 +259,39 @@ class Cluster:
         return out
 
     #: Machine count above which the vectorised NumPy path beats the scalar
-    #: loop (its ~6 ufunc dispatches cost about as much as ~64 loop bodies).
+    #: search (its ~6 ufunc dispatches cost about as much as ~64 loop
+    #: bodies). Set for a scan of every machine; the grouped search scores
+    #: fewer when machines share an EET, and the limit was not re-tuned.
     _SCALAR_ARGMIN_LIMIT = 64
 
     def _scalar_mct(
         self, task: Task, now: float, free: Sequence[float] | None = None
     ) -> tuple[int, float] | None:
-        """First argmin and minimum of ``ready_time + EET`` by a scalar loop.
+        """First argmin and minimum of ``ready_time + EET`` by a scalar search.
 
-        Loops over the incrementally-maintained plain-float mirrors, which
-        for up to ``_SCALAR_ARGMIN_LIMIT`` machines beats the fixed overhead
-        of the ~6 NumPy ufunc dispatches the vectorised path costs. Each
+        Reads the incrementally-maintained plain-float mirrors, which for up
+        to ``_SCALAR_ARGMIN_LIMIT`` machines beats the fixed overhead of the
+        ~6 NumPy ufunc dispatches the vectorised path costs. Each scored
         cell is ``now + max(0, finish_at - now) + queued_work + eet`` — the
-        identical IEEE operations of ``ready_times(now) + eet_vector`` — and
-        the strict ``<`` keeps the first minimum, as ``argmin`` does.
+        identical IEEE operations of ``ready_times(now) + eet_vector``.
+
+        Machines are visited in groups of equal EET, cheapest first, and the
+        search stops at the first group whose bound ``base + eet`` exceeds
+        the best cell so far, where ``base = now + state.queued_floor`` (the
+        floor is 0.0 or the most negative residue the ``+=``/``-=``
+        bookkeeping has left, like -1e-16). The bound is exact:
+        ``fl(now + r) >= now`` for ``r >= 0``, and rounded addition never
+        decreases as an operand grows, so no cell of a pruned group can
+        reach the best, not even as a tie. Groups are not visited in index
+        order, so a tie goes to the lower index explicitly — ``argmin``'s
+        first-minimum rule.
+
         Machines with ``free[j] <= 0`` are skipped (the batch loop's
         saturated/down mask); a minimum of +inf means none is eligible.
         Down machines are *not* excluded without a mask, so unmasked callers
-        must check ``state.n_down`` first. Returns None when the loop does
-        not apply: more machines than the limit, or a task type without an
-        EET row (the vectorised path raises the proper error).
+        must check ``state.n_down`` first. Returns None when the search
+        does not apply: more machines than the limit, or a task type without
+        an EET row (the vectorised path raises the proper error).
         """
         if len(self.machines) > self._SCALAR_ARGMIN_LIMIT:
             return None
@@ -271,26 +299,30 @@ class Cluster:
         if row is None:
             return None
         state = self._state
-        eet_row = self._eet_lists[row]
+        finish = state.finish_list
         queued = state.queued_list
+        base = now + state.queued_floor
         best = float("inf")
         best_j = 0
-        for j, f in enumerate(state.finish_list):
-            if free is not None and free[j] <= 0.0:
-                continue
-            remaining = f - now
-            if remaining < 0.0:
-                remaining = 0.0
-            v = now + remaining + queued[j] + eet_row[j]
-            if v < best:
-                best = v
-                best_j = j
+        for e, group in self._mct_groups[row]:
+            if base + e > best:
+                break
+            for j in group:
+                if free is not None and free[j] <= 0.0:
+                    continue
+                remaining = finish[j] - now
+                if remaining < 0.0:
+                    remaining = 0.0
+                v = now + remaining + queued[j] + e
+                if v < best or (v == best and j < best_j):
+                    best = v
+                    best_j = j
         return best_j, best
 
     def argmin_completion(self, task: Task, now: float) -> int:
         """Index of the machine minimising completion time (MCT argmin).
 
-        Fully-up clusters take the scalar loop of :meth:`_scalar_mct`;
+        Fully-up clusters take the scalar search of :meth:`_scalar_mct`;
         both branches pick the same index, so the simulation trajectory is
         the same either way.
         """
@@ -316,12 +348,12 @@ class Cluster:
     def free_argmin_completion(
         self, task: Task, now: float
     ) -> tuple[int, float] | None:
-        """MCT argmin over machines with a free queue slot, by the scalar loop.
+        """MCT argmin over machines with a free queue slot, by the scalar search.
 
         ``(j, completion)`` with ``completion`` +inf when every machine is
         saturated or down — the one-task answer of the batch planning
         matrix ``ready + eet`` masked by ``free_slots() <= 0``. None when
-        the scalar loop does not apply (see :meth:`_scalar_mct`).
+        the scalar search does not apply (see :meth:`_scalar_mct`).
         """
         return self._scalar_mct(task, now, self._state.slots_list)
 

@@ -108,8 +108,11 @@ class Machine:
             finishes = 0.0
         state.finish_at[i] = finishes
         state.finish_list[i] = finishes
-        state.queued_work[i] = self._queued_work
-        state.queued_list[i] = self._queued_work
+        queued = self._queued_work
+        state.queued_work[i] = queued
+        state.queued_list[i] = queued
+        if queued < state.queued_floor:
+            state.queued_floor = queued
         free = self.queue.free_slots if self.up else 0.0
         state.slots[i] = free
         state.slots_list[i] = free
@@ -126,8 +129,11 @@ class Machine:
         state = self._shared
         if state is not None:
             i = self._shared_idx
-            state.queued_work[i] = self._queued_work
-            state.queued_list[i] = self._queued_work
+            queued = self._queued_work
+            state.queued_work[i] = queued
+            state.queued_list[i] = queued
+            if queued < state.queued_floor:
+                state.queued_floor = queued
             free = self.queue.free_slots if self.up else 0.0
             state.slots[i] = free
             state.slots_list[i] = free
@@ -143,8 +149,11 @@ class Machine:
             finishes = 0.0
         state.finish_at[i] = finishes
         state.finish_list[i] = finishes
-        state.queued_work[i] = self._queued_work
-        state.queued_list[i] = self._queued_work
+        queued = self._queued_work
+        state.queued_work[i] = queued
+        state.queued_list[i] = queued
+        if queued < state.queued_floor:
+            state.queued_floor = queued
         free = self.queue.free_slots if self.up else 0.0
         state.slots[i] = free
         state.slots_list[i] = free

@@ -1,11 +1,15 @@
 """Scenario configuration: validation, builders, JSON round-trips."""
 
+import copy
+
+import numpy as np
 import pytest
 
 from repro.core.config import Scenario
 from repro.core.errors import ConfigurationError
 from repro.machines.machine_queue import UNBOUNDED
 from repro.machines.power import PowerProfile
+from repro.scenarios import build_scenario
 
 
 class TestValidation:
@@ -34,6 +38,45 @@ class TestValidation:
                 machine_counts={"NOPE": 1},
                 scheduler="MECT",
                 generator={"duration": 10.0},
+            )
+
+
+class TestMalformedSpecsFailAtLoad:
+    """Bad ``duration`` / ``seed`` values raise at ``from_dict``, not at build."""
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        return build_scenario("classroom_homogeneous").to_dict()
+
+    @pytest.mark.parametrize(
+        "duration", ["abc", float("nan"), float("inf"), -5.0, 0, True, None]
+    )
+    def test_bad_duration(self, spec, duration):
+        data = copy.deepcopy(spec)
+        data["generator"]["duration"] = duration
+        with pytest.raises(ConfigurationError, match="duration"):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize("seed", ["x", -1, 1.5, True])
+    def test_bad_seed(self, spec, seed):
+        data = copy.deepcopy(spec)
+        data["seed"] = seed
+        with pytest.raises(ConfigurationError, match="seed"):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize("seed", [None, 0, 7, np.int64(3), 2**63])
+    def test_good_seed(self, spec, seed):
+        data = copy.deepcopy(spec)
+        data["seed"] = seed
+        assert Scenario.from_dict(data).seed == seed
+
+    def test_non_mapping_generator(self, eet_3x2):
+        with pytest.raises(ConfigurationError, match="generator"):
+            Scenario(
+                eet=eet_3x2,
+                machine_counts={"M1": 1},
+                scheduler="MECT",
+                generator=[("duration", 10.0)],
             )
 
 

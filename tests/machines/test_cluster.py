@@ -5,8 +5,10 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.machines.cluster import Cluster
+from repro.machines.eet import EETMatrix
 from repro.machines.power import PowerProfile
 from repro.tasks.task import Task
+from repro.tasks.task_type import TaskType
 
 
 def t1_task(task_types, i=0):
@@ -152,6 +154,37 @@ class TestIdleIndex:
         cluster[0].fail(1.0)
         ready = cluster.ready_times(1.0)
         assert ready[0] == np.inf and ready[1] == 1.0
+
+
+class TestQueuedFloor:
+    """``state.queued_floor`` bounds every mirrored ``queued_work`` from below."""
+
+    @pytest.mark.parametrize("drain", ["run", "drop"])
+    def test_floor_keeps_the_most_negative_residue(self, drain):
+        # 0.1 + 0.2 + 2.5, then minus each in queue order, leaves -4.4e-16.
+        types = [TaskType(f"T{i}", i) for i in range(3)]
+        eet = EETMatrix(np.array([[0.1], [0.2], [2.5]]), types, ["M"])
+        cluster = Cluster.build(eet, {"M": 2})
+        machine = cluster[0]
+        assert cluster.state.queued_floor == 0.0
+        tasks = []
+        for i, task_type in enumerate(types):
+            task = Task(id=i, task_type=task_type, arrival_time=0.0, deadline=99.0)
+            task.enqueue_batch()
+            machine.enqueue(task, 0.0)
+            tasks.append(task)
+        for now, task in enumerate(tasks, start=1):
+            if drain == "run":
+                machine.start_next(float(now))
+                machine.finish_running(now + 0.5)
+            else:
+                assert machine.drop_queued(task)
+        residue = cluster.state.queued_list[0]
+        assert residue < 0.0
+        assert cluster.state.queued_floor == residue
+        machine.fail(9.0)  # resets queued_work to 0.0; the floor stays
+        assert cluster.state.queued_list[0] == 0.0
+        assert cluster.state.queued_floor == residue
 
 
 class TestEETCacheImmutability:
